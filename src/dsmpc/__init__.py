@@ -9,19 +9,18 @@ from .analysis import (ExperimentReport, contraction_estimate, iss_experiment,
                        violation_profile)
 from .condense import (CondensedAgent, GlobalQP, build_coupling,
                        condense_agent, condense_scenario, eval_condensed_cost)
-from .coordinator import (AdaRun, AdaState, ada_step, contraction_factor,
-                          default_step, dual_cost, lipschitz_constant,
-                          min_iterations, run_ada)
-from .errors import (DimensionError, DomainError, Infeasible, InfeasibleAtStep,
-                     MaxIters, NoConvergence, NotEquilibrium, ParseError,
-                     UnknownKind)
+from .coordinator import (AdaRun, AdaState, contraction_factor, default_step,
+                          dual_cost, lipschitz_constant, min_iterations,
+                          run_ada)
+from .errors import (DimensionError, DomainError, Infeasible, MaxIters,
+                     NoConvergence, NotEquilibrium, ParseError, UnknownKind)
 from .localqp import LocalSolve, recover_input, solve_local
 from .model import (AgentModel, CouplingRow, CouplingSpec, Polytope, Scenario,
                     load_scenario, save_scenario, shift_to_target, solve_dare,
-                    unshift_inputs, unshift_states, validate_assumptions)
-from .oracle import (OracleSolution, feedback_laws, primal_solution,
-                     dual_solution, simulate_optimal_closed_loop,
-                     solve_centralized, value_function)
+                    unshift_states, validate_assumptions)
+from .oracle import (OracleSolution, feedback_laws,
+                     simulate_optimal_closed_loop, solve_centralized,
+                     value_function)
 from .plant import (ClosedLoopTrace, Disturbance, make_disturbance,
                     plant_step, simulate_closed_loop)
 

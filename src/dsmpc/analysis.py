@@ -12,7 +12,7 @@ import numpy as np
 
 from .coordinator import (contraction_factor, default_step, dual_cost,
                           lipschitz_constant, min_iterations, run_ada)
-from .oracle import ORACLE_TOL, feedback_laws, solve_centralized
+from .oracle import ORACLE_TOL, recovered_law, solve_centralized
 from .plant import make_disturbance, simulate_closed_loop
 
 
@@ -163,10 +163,11 @@ def regularization_sweep(g, states, eps_list):
     for i, x in enumerate(states):
         x = np.asarray(x, dtype=float)
         nx = max(float(np.linalg.norm(x)), 1e-300)
-        lam_star = solve_centralized(g, x, 0.0).lam
-        theory[i] = float(np.linalg.norm(lam_star)) / np.sqrt(mu) / nx
+        sol0 = solve_centralized(g, x, 0.0)
+        kappa = g.first_inputs(sol0.u)
+        theory[i] = float(np.linalg.norm(sol0.lam)) / np.sqrt(mu) / nx
         for j, eps in enumerate(eps_list):
-            kappa, kappa_eps = feedback_laws(g, x, eps)
+            kappa_eps = recovered_law(g, x, solve_centralized(g, x, eps).lam)
             ratios[i, j] = float(np.linalg.norm(kappa - kappa_eps)) / nx
     logs_e, logs_r = [], []
     for i in range(len(states)):

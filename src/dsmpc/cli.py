@@ -5,7 +5,8 @@ Subcommands: `check` (assumption validation + condensation self-tests),
 suboptimality curve), `simulate` (closed loop, trace CSV + metadata JSON),
 `sweep` (grid over rounds/regularization/seeds), `dump` (condensed
 matrices).  Exit codes: 0 success, 2 usage, 3 scenario problems, 4 solver
-failure.
+failure (a `simulate` run truncated by an infeasible state exits 4 after
+writing its partial trace).
 """
 
 import argparse
@@ -19,23 +20,20 @@ import numpy as np
 from .analysis import suboptimality_curve, violation_profile
 from .condense import condense_scenario, dump_matrices, eval_condensed_cost, rollout_cost
 from .coordinator import default_step, lipschitz_constant
-from .errors import (DimensionError, DomainError, Infeasible, InfeasibleAtStep,
-                     MaxIters, NoConvergence, NotEquilibrium, ParseError,
-                     UnknownKind)
+from .errors import (DimensionError, DomainError, Infeasible, MaxIters,
+                     NoConvergence, NotEquilibrium, ParseError, UnknownKind)
 from .model import load_scenario, shift_to_target, validate_assumptions
 from .plant import make_disturbance, simulate_closed_loop
 
 SCENARIO_ERRORS = (ParseError, DimensionError, NotEquilibrium, UnknownKind,
                    DomainError, ValueError, OSError)
-SOLVER_ERRORS = (Infeasible, InfeasibleAtStep, MaxIters, NoConvergence,
-                 np.linalg.LinAlgError)
+# LinAlgError subclasses ValueError, so SOLVER_ERRORS is matched first.
+SOLVER_ERRORS = (Infeasible, MaxIters, NoConvergence, np.linalg.LinAlgError)
 
 
 def _add_common(sp):
     sp.add_argument("--scenario", required=True, help="scenario JSON file")
     sp.add_argument("--out", default="runs", help="output directory")
-    sp.add_argument("--tol-inner", type=float, default=1e-9,
-                    help="inner QP KKT tolerance (informational; default 1e-9)")
 
 
 def build_parser():
@@ -167,6 +165,7 @@ def cmd_simulate(args):
           f"final error {info['final_error']:.3e})")
     if info["infeasible_at"] is not None:
         print(f"run truncated: infeasible at step {info['infeasible_at']}")
+        return 4
     return 0
 
 
@@ -229,12 +228,12 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except SCENARIO_ERRORS as exc:
-        print(f"error: scenario: {exc}", file=sys.stderr)
-        return 3
     except SOLVER_ERRORS as exc:
         print(f"error: solver: {exc}", file=sys.stderr)
         return 4
+    except SCENARIO_ERRORS as exc:
+        print(f"error: scenario: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -7,9 +7,10 @@ decision variables are the input trajectories.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, solve_triangular
 
 from .errors import DimensionError
+from .qpcore import DenseQP
 
 
 @dataclass
@@ -19,7 +20,8 @@ class CondensedAgent:
     Local constraint rows are ordered: input rows for stages 0..N-1, then
     state rows for stages 0..N-1, then terminal rows.  Coupling blocks E, F
     cover predicted stages 1..N (the measured state is not a decision
-    variable); they are zero-row until the coupling is attached.
+    variable); they are zero-row until the coupling is attached.  `qp` is
+    the factorized inner-problem workspace on (H, C), built here once.
     """
 
     index: int
@@ -37,15 +39,15 @@ class CondensedAgent:
     F: np.ndarray
     Ahat: np.ndarray
     Bhat: np.ndarray
-    _workspace: object = field(default=None, repr=False, compare=False)
+    qp: DenseQP = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.qp = DenseQP(self.H, self.C)
 
     @property
     def nu(self):
         """Number of decision variables (N * m)."""
         return self.N * self.m
-
-    def first_input(self, u):
-        return np.asarray(u, dtype=float)[: self.m]
 
 
 def prediction_matrices(A, B, N):
@@ -132,7 +134,13 @@ def build_coupling(coupling, agents, condensed):
 
 @dataclass
 class GlobalQP:
-    """All condensed agents plus the stacked coupling data, in agent order."""
+    """All condensed agents plus the stacked coupling data, in agent order.
+
+    `coupling_norms` holds ||E_i H_i^{-1} E_i'|| per agent, the top
+    eigenvalue of the nu x nu Gram matrix W W' with W = L^{-1} E_i' on the
+    agent's Cholesky factor (W' W has the same nonzero eigenvalues).
+    `oracle_ws` holds the oracle's stacked workspaces, keyed by eps.
+    """
 
     agents: list
     b: np.ndarray
@@ -142,6 +150,15 @@ class GlobalQP:
     stage_Ex: list
     bbar: np.ndarray
     digest: str = ""
+    coupling_norms: list = field(init=False, repr=False, compare=False)
+    oracle_ws: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
+
+    def __post_init__(self):
+        self.coupling_norms = []
+        for ca in self.agents:
+            W = solve_triangular(ca.qp.chol, ca.E.T, lower=True)
+            self.coupling_norms.append(float(np.linalg.eigvalsh(W @ W.T)[-1]))
 
     @property
     def n_total(self):
@@ -179,6 +196,18 @@ class GlobalQP:
                 f"input trajectory has length {u.size}, expected {off[-1]}"
             )
         return [u[off[i]:off[i + 1]] for i in range(len(self.agents))]
+
+    def first_inputs(self, u):
+        """First-stage input blocks of a stacked input trajectory."""
+        return np.concatenate([ui[: ca.m] for ca, ui in
+                               zip(self.agents, self.split_inputs(u))])
+
+    def state_image(self, x_parts):
+        """sum_i F_i x_i over the stacked horizon rows."""
+        agg = np.zeros(self.n_dual)
+        for ca, xi in zip(self.agents, x_parts):
+            agg += ca.F @ xi
+        return agg
 
     def coupling_image(self, x_parts, u_parts):
         """sum_i F_i x_i + E_i u_i over the stacked horizon rows."""

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DomainError
 from .localqp import inner_value, solve_local
@@ -35,28 +34,10 @@ class AdaState:
     j: int = 0
 
 
-def coupling_gram_norms(g):
-    """Spectral norms ||E_i H_i^{-1} E_i'|| per agent, cached on the QP."""
-    cached = getattr(g, "_gram_norms", None)
-    if cached is not None:
-        return cached
-    norms = []
-    for ca in g.agents:
-        if ca.E.shape[0] == 0:
-            norms.append(0.0)
-            continue
-        L = np.linalg.cholesky(ca.H)
-        Wm = solve_triangular(L, ca.E.T, lower=True)
-        norms.append(float(np.linalg.eigvalsh(Wm.T @ Wm).max()))
-    g._gram_norms = norms
-    return norms
-
-
 def lipschitz_constant(g, eps):
     """Gradient Lipschitz constant of the smooth dual part:
     eps + sqrt(sum_i ||E_i H_i^{-1} E_i'||^2)."""
-    norms = coupling_gram_norms(g)
-    return float(eps + math.sqrt(sum(v * v for v in norms)))
+    return float(eps + math.sqrt(sum(v * v for v in g.coupling_norms)))
 
 
 def default_step(L):
@@ -92,16 +73,6 @@ def _ada_round(st, g, x_parts, Fx_sum, warm):
     return new_state, solves, agg
 
 
-def ada_step(st, g, x, warm=None):
-    """Advance the dual state by one round of the ascent algorithm."""
-    x_parts = g.split_states(x)
-    Fx_sum = np.zeros(g.n_dual)
-    for ca, xi in zip(g.agents, x_parts):
-        Fx_sum += ca.F @ xi
-    new_state, _, _ = _ada_round(st, g, x_parts, Fx_sum, warm)
-    return new_state
-
-
 @dataclass
 class AdaRun:
     """Result of an ell-round run: final iterates plus per-round diagnostics."""
@@ -120,6 +91,8 @@ def run_ada(lam_init, x, iters, g, eps, alpha=None, record_cost=False,
             warm=None):
     """Apply `iters` rounds from the standard initialization (mu_0 = lam_0,
     theta_0 = 1).  With iters == 0 the input price is returned unchanged.
+    `warm` takes the per-agent inner solves of an earlier run (`AdaRun.warm`)
+    as warm starts; the closed loop chains its sampling times this way.
 
     Diagnostics: per-round aggregate violation norm ||(agg - b)_+||, projected
     step ||mu_{j+1} - mu_j||, and (if record_cost) the regularized dual cost
@@ -129,9 +102,7 @@ def run_ada(lam_init, x, iters, g, eps, alpha=None, record_cost=False,
         alpha = default_step(lipschitz_constant(g, eps))
     st = init_state(lam_init, alpha, eps, n_dual=g.n_dual)
     x_parts = g.split_states(x)
-    Fx_sum = np.zeros(g.n_dual)
-    for ca, xi in zip(g.agents, x_parts):
-        Fx_sum += ca.F @ xi
+    Fx_sum = g.state_image(x_parts)
 
     agg_res = np.zeros(iters)
     mu_steps = np.zeros(iters)
@@ -143,7 +114,7 @@ def run_ada(lam_init, x, iters, g, eps, alpha=None, record_cost=False,
         agg_res[j] = float(np.linalg.norm(np.maximum(agg - g.b, 0.0)))
         mu_steps[j] = float(np.linalg.norm(st.mu - mu_prev))
         if record_cost:
-            costs[j] = dual_cost(st.mu, x, g, eps)
+            costs[j] = dual_cost(st.mu, x, g, eps, warm=solves)
     return AdaRun(lam=st.lam, mu=st.mu, state=st, agg_residuals=agg_res,
                   mu_steps=mu_steps, dual_costs=costs, warm=solves, iters=iters)
 
@@ -157,12 +128,10 @@ def dual_cost(lam, x, g, eps, warm=None):
     lam = np.maximum(lam, 0.0)
     x_parts = g.split_states(x)
     total = 0.5 * eps * float(lam @ lam)
-    support = g.b.copy()
     for i, ca in enumerate(g.agents):
         sol = solve_local(ca, x_parts[i], lam, warm=None if warm is None else warm[i])
         total -= inner_value(ca, x_parts[i], lam, sol)
-        support -= ca.F @ x_parts[i]
-    total += float(lam @ support)
+    total += float(lam @ (g.b - g.state_image(x_parts)))
     return float(total)
 
 

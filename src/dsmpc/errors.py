@@ -32,10 +32,3 @@ class UnknownKind(ValueError):
 class DomainError(ValueError):
     """Argument outside the mathematical domain of the operation."""
 
-
-class InfeasibleAtStep(RuntimeError):
-    """The measured state left the feasible parameter set during a run."""
-
-    def __init__(self, step, message=""):
-        self.step = step
-        super().__init__(message or f"local problem infeasible at step {step}")

@@ -11,11 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qpcore import DEFAULT_FEAS_TOL, DEFAULT_TOL, DenseQP
-
-INNER_TOL = DEFAULT_TOL
-FEAS_TOL = DEFAULT_FEAS_TOL
-
 
 @dataclass
 class LocalSolve:
@@ -28,16 +23,7 @@ class LocalSolve:
     inner_iters: int
 
 
-def _workspace(ca):
-    ws = ca._workspace
-    if ws is None:
-        ws = DenseQP(ca.H, ca.C)
-        ca._workspace = ws
-    return ws
-
-
-def solve_local(ca, x, lam, warm=None, inner_tol=INNER_TOL, feas_tol=FEAS_TOL,
-                max_iter=200_000):
+def solve_local(ca, x, lam, warm=None):
     """Solve one agent's inner QP.  `warm` may carry the LocalSolve of a
     previous call with nearby (x, lambda); it only affects speed, never the
     certified result.
@@ -45,16 +31,14 @@ def solve_local(ca, x, lam, warm=None, inner_tol=INNER_TOL, feas_tol=FEAS_TOL,
     Raises Infeasible when {u : D x + C u <= c} is empty (the state has left
     the feasible parameter set for this agent) and MaxIters on a stall.
     """
-    ws = _workspace(ca)
     x = np.asarray(x, dtype=float).reshape(ca.n)
     lam = np.asarray(lam, dtype=float)
     q = ca.G @ x if lam.size == 0 else ca.G @ x + ca.E.T @ lam
     r = ca.c - ca.D @ x
-    res = ws.solve(
+    res = ca.qp.solve(
         q, r,
         warm_nu=None if warm is None else warm.nu,
         warm_active=None if warm is None else warm.active_set,
-        tol=inner_tol, feas_tol=feas_tol, max_iter=max_iter,
     )
     return LocalSolve(res.z, res.nu, res.active, res.kkt_residual, res.iters)
 
@@ -67,7 +51,6 @@ def inner_value(ca, x, lam, solve):
     return float(0.5 * (u @ ca.H @ u) + lin @ u + 0.5 * (xv @ ca.W @ xv))
 
 
-def recover_input(ca, x, lam, warm=None, inner_tol=INNER_TOL):
+def recover_input(ca, x, lam):
     """First-stage input block of the inner minimizer (the q-mapping)."""
-    sol = solve_local(ca, x, lam, warm=warm, inner_tol=inner_tol)
-    return sol.u[: ca.m].copy()
+    return solve_local(ca, x, lam).u[: ca.m].copy()

@@ -663,9 +663,3 @@ def unshift_states(scenario, X):
     xbar, _ = scenario.shift
     return np.asarray(X, dtype=float) + xbar
 
-
-def unshift_inputs(scenario, U):
-    if scenario.shift is None:
-        return np.asarray(U, dtype=float)
-    _, ubar = scenario.shift
-    return np.asarray(U, dtype=float) + ubar

@@ -53,10 +53,7 @@ def _stacked(g, x):
     r_loc = np.concatenate([ca.c - ca.D @ xi for ca, xi in zip(g.agents, x_parts)])
     E_all = np.hstack([ca.E for ca in g.agents]) if g.n_dual else \
         np.zeros((0, sum(ca.nu for ca in g.agents)))
-    Fx = np.zeros(g.n_dual)
-    for ca, xi in zip(g.agents, x_parts):
-        Fx += ca.F @ xi
-    return H_all, q, C_loc, r_loc, E_all, Fx
+    return H_all, q, C_loc, r_loc, E_all, g.state_image(x_parts)
 
 
 def _reg_kkt_residual(H_all, q, C_loc, r_loc, E_all, b_eff, u, nu, lam, eps):
@@ -80,13 +77,11 @@ def _reg_kkt_residual(H_all, q, C_loc, r_loc, E_all, b_eff, u, nu, lam, eps):
 
 
 def _workspace(g, eps):
-    cache = getattr(g, "_oracle_ws", None)
-    if cache is None:
-        cache = {}
-        g._oracle_ws = cache
+    """The stacked DenseQP at this eps, factorized on first use and kept in
+    g.oracle_ws."""
     key = float(eps)
-    if key in cache:
-        return cache[key]
+    if key in g.oracle_ws:
+        return g.oracle_ws[key]
     H_all = block_diag(*[ca.H for ca in g.agents])
     C_loc = block_diag(*[ca.C for ca in g.agents])
     E_all = np.hstack([ca.E for ca in g.agents]) if g.n_dual else \
@@ -104,12 +99,13 @@ def _workspace(g, eps):
             [E_all, -np.sqrt(eps) * np.eye(p)],
         ])
     ws = DenseQP(P, A)
-    cache[key] = ws
+    g.oracle_ws[key] = ws
     return ws
 
 
-def solve_centralized(g, x, eps, tol=ORACLE_TOL):
-    """Solve the coupled condensed QP at state x to KKT residual <= tol.
+def solve_centralized(g, x, eps):
+    """Solve the coupled condensed QP at state x to KKT residual <=
+    ORACLE_TOL.
 
     eps > 0 solves the regularized problem (unique dual); eps = 0 returns the
     exact primal and one dual, flagging possible dual non-uniqueness when the
@@ -127,7 +123,7 @@ def solve_centralized(g, x, eps, tol=ORACLE_TOL):
     ws = _workspace(g, eps)
 
     if eps == 0.0:
-        res = ws.solve(q, np.concatenate([r_loc, b_eff]), tol=tol)
+        res = ws.solve(q, np.concatenate([r_loc, b_eff]))
         u = res.z
         nu = res.nu[:k_loc]
         lam = res.nu[k_loc:]
@@ -135,20 +131,20 @@ def solve_centralized(g, x, eps, tol=ORACLE_TOL):
     else:
         p = g.n_dual
         res = ws.solve(np.concatenate([q, np.zeros(p)]),
-                       np.concatenate([r_loc, b_eff]), tol=tol)
+                       np.concatenate([r_loc, b_eff]))
         u = res.z[:n_u]
         nu = res.nu[:k_loc]
         lam = res.nu[k_loc:]
         kkt = _reg_kkt_residual(H_all, q, C_loc, r_loc, E_all, b_eff,
                                 u, nu, lam, eps)
-    if kkt > 10 * tol:
+    if kkt > 10 * ORACLE_TOL:
         raise NoConvergence(f"oracle KKT residual {kkt:.3e} above tolerance")
 
     nonunique = False
     if eps == 0.0:
-        act = [i for i in range(k_loc) if nu[i] > tol or
+        act = [i for i in range(k_loc) if nu[i] > ORACLE_TOL or
                (r_loc - C_loc @ u)[i] < 1e-10]
-        act_c = [j for j in range(g.n_dual) if lam[j] > tol or
+        act_c = [j for j in range(g.n_dual) if lam[j] > ORACLE_TOL or
                  (b_eff - E_all @ u)[j] < 1e-10]
         Aact = np.vstack([C_loc[act], E_all[act_c]]) if (act or act_c) else \
             np.zeros((0, n_u))
@@ -164,16 +160,6 @@ def solve_centralized(g, x, eps, tol=ORACLE_TOL):
     )
 
 
-def primal_solution(g, x):
-    """Exact primal minimizer of the unregularized coupled QP."""
-    return solve_centralized(g, x, 0.0).u
-
-
-def dual_solution(g, x, eps):
-    """Regularized dual solution (unique for eps > 0)."""
-    return solve_centralized(g, x, eps).lam
-
-
 def value_function(g, x):
     """Square root of the optimal cost, the Lyapunov candidate for the
     optimal closed loop."""
@@ -186,16 +172,15 @@ def feedback_laws(g, x, eps):
     the first input block of the primal; the regularized law is recovered
     from the regularized dual through the agents' inner problems."""
     x = np.asarray(x, dtype=float)
-    sol0 = solve_centralized(g, x, 0.0)
-    u_parts = g.split_inputs(sol0.u)
-    kappa = np.concatenate([ui[: ca.m] for ca, ui in zip(g.agents, u_parts)])
-    sol_eps = solve_centralized(g, x, eps)
-    x_parts = g.split_states(x)
-    kappa_eps = np.concatenate([
-        recover_input(ca, xi, sol_eps.lam)
-        for ca, xi in zip(g.agents, x_parts)
-    ])
-    return kappa, kappa_eps
+    kappa = g.first_inputs(solve_centralized(g, x, 0.0).u)
+    return kappa, recovered_law(g, x, solve_centralized(g, x, eps).lam)
+
+
+def recovered_law(g, x, lam):
+    """First-stage inputs recovered from the coupling price lam through the
+    agents' inner problems."""
+    return np.concatenate([recover_input(ca, xi, lam)
+                           for ca, xi in zip(g.agents, g.split_states(x))])
 
 
 def simulate_optimal_closed_loop(scenario, steps=None, eps=0.0):
@@ -211,9 +196,7 @@ def simulate_optimal_closed_loop(scenario, steps=None, eps=0.0):
     states[0] = x + xbar
     zero_d = np.zeros(x.size)
     for t in range(steps):
-        sol = solve_centralized(g, x, eps)
-        u_parts = g.split_inputs(sol.u)
-        u0 = np.concatenate([ui[: ca.m] for ca, ui in zip(g.agents, u_parts)])
+        u0 = g.first_inputs(solve_centralized(g, x, eps).u)
         x = plant_step(x, u0, zero_d, shifted.agents)
         states[t + 1] = x + xbar
     return states

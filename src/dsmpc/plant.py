@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .condense import condense_scenario
-from .coordinator import default_step, init_state, lipschitz_constant, _ada_round
+from .coordinator import default_step, lipschitz_constant, run_ada
 from .errors import DimensionError, Infeasible, UnknownKind
 from .localqp import solve_local
 from .model import shift_to_target
@@ -95,6 +95,7 @@ class ClosedLoopTrace:
     scenario_digest: str
     targets: np.ndarray
     infeasible_at: int | None = None
+    # per step, one (j, ||(agg - b)_+||, ||mu_j - mu_{j-1}||) per round
     dual_diagnostics: list = field(default_factory=list)
 
     @property
@@ -160,8 +161,7 @@ class ClosedLoopTrace:
                 fh.write("\n")
 
 
-def simulate_closed_loop(scenario, ell=None, steps=None, dist=None, alpha=None,
-                         record_dual_diag=False, lam0=None):
+def simulate_closed_loop(scenario, ell=None, steps=None, dist=None, alpha=None):
     """Run the interconnection for `steps` sampling times.
 
     The scenario is shifted so its targets sit at the origin; the trace is
@@ -197,7 +197,7 @@ def simulate_closed_loop(scenario, ell=None, steps=None, dist=None, alpha=None,
     diag = []
 
     x = shifted.x0_stacked()
-    lam = np.zeros(g.n_dual) if lam0 is None else np.asarray(lam0, dtype=float)
+    lam = np.zeros(g.n_dual)
     states[0] = x + xbar
     warm = None
     infeasible_at = None
@@ -206,33 +206,16 @@ def simulate_closed_loop(scenario, ell=None, steps=None, dist=None, alpha=None,
     for t in range(steps):
         tic = time.perf_counter()
         try:
-            st = init_state(lam, alpha, eps, n_dual=g.n_dual)
-            x_parts = g.split_states(x)
-            Fx_sum = np.zeros(g.n_dual)
-            for ca, xi in zip(g.agents, x_parts):
-                Fx_sum += ca.F @ xi
-            mu_steps = []
-            for _ in range(ell):
-                mu_prev = st.mu
-                st, warm, agg = _ada_round(st, g, x_parts, Fx_sum, warm)
-                if record_dual_diag:
-                    mu_steps.append(
-                        (st.j, float(np.linalg.norm(np.maximum(agg - g.b, 0.0))),
-                         float(np.linalg.norm(st.mu - mu_prev)))
-                    )
-            lam = st.lam
-            if warm is None:
-                warm = [None] * len(g.agents)
-            u_first = np.zeros(m)
-            ou = 0
-            for i, ca in enumerate(g.agents):
-                sol = solve_local(ca, x_parts[i], lam, warm=warm[i])
-                warm[i] = sol
-                u_first[ou:ou + ca.m] = sol.u[: ca.m]
-                ou += ca.m
+            run = run_ada(lam, x, ell, g, eps, alpha=alpha, warm=warm)
+            lam = run.lam
+            warm = [solve_local(ca, xi, lam, warm=w) for ca, xi, w in
+                    zip(g.agents, g.split_states(x),
+                        run.warm or [None] * len(g.agents))]
         except Infeasible:
             infeasible_at = t
             break
+        u_first = np.concatenate([sol.u[: ca.m]
+                                  for ca, sol in zip(g.agents, warm)])
         viols[t] = g.stage_violation(x, u_first)
         d_t = d_seq[t]
         x_next = plant_step(x, u_first, d_t, agents)
@@ -240,8 +223,8 @@ def simulate_closed_loop(scenario, ell=None, steps=None, dist=None, alpha=None,
         prices[t] = lam
         inputs[t] = u_first + ubar
         states[t + 1] = x_next + xbar
-        if record_dual_diag:
-            diag.append(mu_steps)
+        diag.append([(j + 1, float(r), float(d)) for j, (r, d) in
+                     enumerate(zip(run.agg_residuals, run.mu_steps))])
         x = x_next
 
     if infeasible_at is not None:

@@ -6,9 +6,9 @@ Accelerated projected gradient on the constraint multipliers, interleaved
 with an active-set polish step that solves the equality-constrained KKT
 system and recovers nonnegative multipliers by NNLS.  A solution is accepted
 only when its KKT residual (stationarity, feasibility, sign, complementarity)
-is below the requested tolerance, so the certificate is independent of the
-iteration path.  Emptiness of the constraint set is certified with a
-feasibility LP before Infeasible is raised.
+is below TOL, so the certificate is independent of the iteration path.
+Emptiness of the constraint set is certified with a feasibility LP before
+Infeasible is raised.
 """
 
 from dataclasses import dataclass
@@ -19,8 +19,11 @@ from scipy.optimize import linprog, nnls
 
 from .errors import Infeasible, MaxIters
 
-DEFAULT_TOL = 1e-9
-DEFAULT_FEAS_TOL = 1e-8
+TOL = 1e-9              # KKT residual accepted as a solution
+FEAS_TOL = 1e-8         # primal slack still counted as feasible
+MAX_ITER = 200_000
+POLISH_EVERY = 25       # gradient iterations between active-set polishes
+POLISH_ROUNDS = 40      # active-set refinements per polish
 DIVERGENCE_CAP = 1e8
 
 
@@ -48,8 +51,7 @@ class DenseQP:
         self.k = self.A.shape[0]
         if self.k:
             W = solve_triangular(self.chol, self.A.T, lower=True)
-            gram = W.T @ W
-            lmax = float(np.linalg.eigvalsh(gram).max()) if self.k else 0.0
+            lmax = float(np.linalg.eigvalsh(W.T @ W).max())
             self.dual_step = 1.0 / max(lmax, 1e-300)
         else:
             self.dual_step = 0.0
@@ -79,12 +81,12 @@ class DenseQP:
         )
         return res.status == 2
 
-    def _try_polish(self, q, r, active, tol, feas_tol, max_rounds=40):
+    def _try_polish(self, q, r, active):
         """Equality-solve on a candidate active set, refining it by adding
         violated rows and dropping zero-multiplier rows.  Returns a certified
         QPResult or None."""
         active = set(int(i) for i in active)
-        for _ in range(max_rounds):
+        for _ in range(POLISH_ROUNDS):
             idx = sorted(active)
             Aa = self.A[idx]
             ka = len(idx)
@@ -103,7 +105,7 @@ class DenseQP:
                 z = self._primal(q)
             slack = r - self.A @ z
             worst = int(np.argmin(slack)) if self.k else -1
-            if self.k and slack[worst] < -feas_tol:
+            if self.k and slack[worst] < -FEAS_TOL:
                 if worst in active:
                     return None  # inconsistent active set; resume iterating
                 active.add(worst)
@@ -115,13 +117,13 @@ class DenseQP:
                 if support.size:
                     # re-solve on the support for full precision
                     ws, *_ = np.linalg.lstsq(Aa[support].T, -grad, rcond=None)
-                    if ws.min() >= -10 * tol:
+                    if ws.min() >= -10 * TOL:
                         w = np.zeros(ka)
                         w[support] = np.maximum(ws, 0.0)
                         resid = float(np.linalg.norm(Aa.T @ w + grad))
             else:
                 w, resid = np.zeros(0), float(np.linalg.norm(grad))
-            if resid > 10 * tol:
+            if resid > 10 * TOL:
                 dropped = {i for i, wi in zip(idx, w) if wi <= 1e-14}
                 if dropped and dropped != active:
                     active -= dropped
@@ -131,14 +133,12 @@ class DenseQP:
             for i, wi in zip(idx, w):
                 nu[i] = wi
             res = self.kkt_residual(z, nu, q, r)
-            if res <= tol:
+            if res <= TOL:
                 return QPResult(z, nu, tuple(i for i in idx if nu[i] > 0.0), res, 0)
             return None
         return None
 
-    def solve(self, q, r, warm_nu=None, warm_active=None,
-              tol=DEFAULT_TOL, feas_tol=DEFAULT_FEAS_TOL,
-              max_iter=200_000, polish_every=25):
+    def solve(self, q, r, warm_nu=None, warm_active=None):
         q = np.asarray(q, dtype=float).reshape(self.n)
         r = np.asarray(r, dtype=float).reshape(self.k)
 
@@ -146,12 +146,12 @@ class DenseQP:
         if self.k == 0:
             return QPResult(z, np.zeros(0), (), self.kkt_residual(z, np.zeros(0), q, r), 0)
         slack0 = r - self.A @ z
-        if slack0.min() >= -min(tol, feas_tol):
+        if slack0.min() >= -min(TOL, FEAS_TOL):
             nu = np.zeros(self.k)
             return QPResult(z, nu, (), self.kkt_residual(z, nu, q, r), 0)
 
         if warm_active:
-            out = self._try_polish(q, r, warm_active, tol, feas_tol)
+            out = self._try_polish(q, r, warm_active)
             if out is not None:
                 return out
 
@@ -164,7 +164,7 @@ class DenseQP:
         scale = 1.0 + float(np.max(np.abs(r)))
         certified_feasible = False
         checkpoints = {500, 5_000, 50_000}
-        for it in range(1, max_iter + 1):
+        for it in range(1, MAX_ITER + 1):
             z = self._primal(q, y)
             grad = r - self.A @ z  # gradient of the negated dual at y
             nu_next = np.maximum(y - step * grad, 0.0)
@@ -174,12 +174,12 @@ class DenseQP:
             y = nu_next + ((theta - 1.0) / theta_next) * (nu_next - nu)
             nu, theta = nu_next, theta_next
 
-            if it % polish_every == 0 or it == max_iter:
+            if it % POLISH_EVERY == 0 or it == MAX_ITER:
                 zp = self._primal(q, nu)
                 slack = r - self.A @ zp
-                cand = set(np.flatnonzero(nu > max(tol, 1e-12)).tolist())
-                cand |= set(np.flatnonzero(slack < feas_tol * scale).tolist())
-                out = self._try_polish(q, r, cand, tol, feas_tol)
+                cand = set(np.flatnonzero(nu > max(TOL, 1e-12)).tolist())
+                cand |= set(np.flatnonzero(slack < FEAS_TOL * scale).tolist())
+                out = self._try_polish(q, r, cand)
                 if out is not None:
                     out.iters = it
                     return out
@@ -191,4 +191,4 @@ class DenseQP:
                     certified_feasible = True
         if not certified_feasible and self._certify_infeasible(r):
             raise Infeasible("constraint set is empty")
-        raise MaxIters(f"QP solver stalled after {max_iter} iterations")
+        raise MaxIters(f"QP solver stalled after {MAX_ITER} iterations")

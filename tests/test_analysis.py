@@ -109,6 +109,26 @@ class TestRegularizationSweep:
         assert rep.passed
         assert rep.params["worst_bound_ratio"] <= 0.1
 
+    def test_one_unregularized_solve_per_state(self, pair_global,
+                                               monkeypatch):
+        # kappa and lam* come from the same eps = 0 solve; each eps adds
+        # one regularized solve
+        import dsmpc.analysis
+        import dsmpc.oracle
+        s, g = pair_global
+        calls = []
+
+        def counting(g, x, eps):
+            calls.append(eps)
+            return solve_centralized(g, x, eps)
+        for mod in (dsmpc.analysis, dsmpc.oracle):
+            monkeypatch.setattr(mod, "solve_centralized", counting)
+        states = [s.x0_stacked(), np.array([0.02, -0.03])]
+        eps_list = [1e-2, 1e-3, 1e-4]
+        regularization_sweep(g, states, eps_list)
+        assert len(calls) == len(states) * (1 + len(eps_list))
+        assert calls.count(0.0) == len(states)
+
 
 class TestIssExperiment:
     def test_pair_scenario_gains(self):

@@ -3,11 +3,23 @@ import os
 
 import numpy as np
 
+from dsmpc import cli
 from dsmpc.cli import main
 
 
 def run(argv):
     return main(argv)
+
+
+def tight_scenario(formation3_path, tmp_path):
+    """formation3 with an input box so tight that the terminal pin is
+    unreachable from x0."""
+    doc = json.loads(open(formation3_path).read())
+    for a in doc["agents"]:
+        a["input_poly"] = {"box": [[-1e-4, -1e-4], [1e-4, 1e-4]]}
+    p = tmp_path / "tight.json"
+    p.write_text(json.dumps(doc))
+    return p
 
 
 class TestExitCodes:
@@ -31,15 +43,40 @@ class TestExitCodes:
         assert code == 3
 
     def test_solver_failure_reported(self, tmp_path, formation3_path):
-        # shrink the input box so the terminal pin is unreachable from x0
-        doc = json.loads(open(formation3_path).read())
-        for a in doc["agents"]:
-            a["input_poly"] = {"box": [[-1e-4, -1e-4], [1e-4, 1e-4]]}
-        p = tmp_path / "tight.json"
-        p.write_text(json.dumps(doc))
+        p = tight_scenario(formation3_path, tmp_path)
         code = run(["solve", "--scenario", str(p), "--iters", "3",
                     "--out", str(tmp_path)])
         assert code == 4
+
+    def test_linalg_error_is_solver_failure(self, formation3_path, tmp_path,
+                                            monkeypatch):
+        # LinAlgError subclasses ValueError; it must still exit 4, not 3
+        def broken(args):
+            raise np.linalg.LinAlgError("singular matrix")
+        monkeypatch.setattr(cli, "cmd_dump", broken)
+        code = run(["dump", "--scenario", formation3_path,
+                    "--out", str(tmp_path)])
+        assert code == 4
+
+    def test_truncated_simulate_is_solver_failure(self, tmp_path,
+                                                  formation3_path):
+        # the partial trace is written, then exit 4
+        p = tight_scenario(formation3_path, tmp_path)
+        out = tmp_path / "runs"
+        code = run(["simulate", "--scenario", str(p), "--iters", "1",
+                    "--steps", "3", "--out", str(out)])
+        assert code == 4
+        meta = [f for f in os.listdir(out) if f.endswith(".meta.json")]
+        assert json.loads(open(out / meta[0]).read())["infeasible_at"] == 0
+
+    def test_truncated_sweep_is_data(self, tmp_path, formation3_path):
+        p = tight_scenario(formation3_path, tmp_path)
+        out = tmp_path / "sweep"
+        code = run(["sweep", "--scenario", str(p), "--iters", "1",
+                    "--steps", "3", "--out", str(out)])
+        assert code == 0
+        summary = json.loads(open(out / "sweep_summary.json").read())
+        assert summary["grid"][0]["infeasible_at"] == 0
 
 
 class TestSimulate:

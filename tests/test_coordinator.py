@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from dsmpc.condense import CondensedAgent, GlobalQP
-from dsmpc.coordinator import (AdaState, ada_step, contraction_factor,
-                               default_step, diagnostics_csv, dual_cost,
-                               init_state, lipschitz_constant, min_iterations,
-                               run_ada)
+from dsmpc.coordinator import (contraction_factor, default_step,
+                               diagnostics_csv, dual_cost, lipschitz_constant,
+                               min_iterations, run_ada)
 from dsmpc.errors import DomainError
 from dsmpc.oracle import solve_centralized
 
@@ -62,23 +61,19 @@ class TestDefaultStep:
 class TestAdaStep:
     def test_fixed_point_at_slack_origin(self, pair_global):
         s, g = pair_global
-        st = init_state(None, 0.2, s.epsilon, n_dual=g.n_dual)
-        out = ada_step(st, g, np.zeros(2))
+        out = run_ada(None, np.zeros(2), 1, g, s.epsilon, alpha=0.2)
         assert np.all(out.mu == 0.0)
         assert np.all(out.lam == 0.0)
 
     def test_theta_recursion_first_step(self, pair_global):
         s, g = pair_global
-        st = init_state(None, 0.2, s.epsilon, n_dual=g.n_dual)
-        out = ada_step(st, g, np.zeros(2))
-        assert out.theta == pytest.approx((1 + math.sqrt(5)) / 2)
+        out = run_ada(None, np.zeros(2), 1, g, s.epsilon, alpha=0.2)
+        assert out.state.theta == pytest.approx((1 + math.sqrt(5)) / 2)
 
     def test_projection_clamps_exactly(self, pair_global):
         s, g = pair_global
         # negative drift everywhere: all components clamp to exactly zero
-        st = AdaState(lam=np.zeros(g.n_dual), mu=np.zeros(g.n_dual),
-                      theta=1.0, alpha=0.2, epsilon=s.epsilon)
-        out = ada_step(st, g, np.array([-0.5, -0.5]))
+        out = run_ada(None, np.array([-0.5, -0.5]), 1, g, s.epsilon, alpha=0.2)
         assert np.all(out.mu >= 0.0)
         assert np.count_nonzero(out.mu) < g.n_dual
 
@@ -100,11 +95,10 @@ class TestRunAda:
     def test_mu_nonnegative_along_run(self, pair_global):
         s, g = pair_global
         x = s.x0_stacked()
-        st = init_state(None, default_step(lipschitz_constant(g, s.epsilon)),
-                        s.epsilon, n_dual=g.n_dual)
-        for _ in range(25):
-            st = ada_step(st, g, x)
-            assert np.all(st.mu >= 0.0)
+        alpha = default_step(lipschitz_constant(g, s.epsilon))
+        for j in range(1, 26):
+            run = run_ada(None, x, j, g, s.epsilon, alpha=alpha)
+            assert np.all(run.mu >= 0.0)
 
     def test_converges_to_oracle_dual(self, pair_global):
         s, g = pair_global
@@ -143,6 +137,15 @@ class TestRunAda:
         assert np.array_equal(r1.lam, r2.lam)
         assert np.array_equal(r1.mu, r2.mu)
         assert np.array_equal(r1.agg_residuals, r2.agg_residuals)
+
+    def test_recorded_cost_matches_cold_dual_cost(self, pair_global):
+        # recorded costs reuse the round's inner solves as warm starts; the
+        # certified inner solves make that a speed-up only
+        s, g = pair_global
+        x = s.x0_stacked()
+        run = run_ada(None, x, 40, g, s.epsilon, record_cost=True)
+        cold = dual_cost(run.mu, x, g, s.epsilon)
+        assert run.dual_costs[-1] == pytest.approx(cold, rel=1e-12)
 
     def test_diagnostics_csv_shape(self, pair_global):
         s, g = pair_global

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from dsmpc.condense import condense_scenario
+from dsmpc.coordinator import run_ada
 from dsmpc.errors import DimensionError, UnknownKind
 from dsmpc.model import shift_to_target
 from dsmpc.plant import (make_disturbance, plant_step, simulate_closed_loop)
@@ -134,13 +136,24 @@ class TestSimulateClosedLoop:
 
 
 class TestDualDiagnostics:
-    def test_optional_recording(self, formation3):
-        tr = simulate_closed_loop(formation3, ell=3, steps=4,
-                                  record_dual_diag=True)
+    def test_always_recorded(self, formation3):
+        tr = simulate_closed_loop(formation3, ell=3, steps=4)
         assert len(tr.dual_diagnostics) == 4
         assert all(len(step) == 3 for step in tr.dual_diagnostics)
         j, agg_res, mu_step = tr.dual_diagnostics[0][0]
         assert j == 1 and agg_res >= 0.0 and mu_step >= 0.0
+
+    def test_first_step_is_run_ada(self, formation3):
+        # the loop's price update is run_ada from lam_0 = 0 on the shifted
+        # scenario; its per-round diagnostics are the run's
+        tr = simulate_closed_loop(formation3, ell=3, steps=1)
+        shifted = shift_to_target(formation3)
+        g = condense_scenario(shifted)
+        run = run_ada(None, shifted.x0_stacked(), 3, g, shifted.epsilon)
+        assert np.array_equal(tr.prices[0], run.lam)
+        assert tr.dual_diagnostics == [
+            [(j + 1, run.agg_residuals[j], run.mu_steps[j]) for j in range(3)]
+        ]
 
 
 class TestNonzeroEquilibriumInput:
