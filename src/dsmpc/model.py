@@ -1,6 +1,6 @@
 """Problem data: agent models, coupling constraints, scenario files, and
 standing-assumption checks (stabilizability, origin interiority, weight
-definiteness, terminal decrease) backed by a fixed-point Riccati solver.
+definiteness, terminal decrease) backed by a PBH test and a Riccati solver.
 """
 
 import hashlib
@@ -8,12 +8,12 @@ import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg import solve_discrete_are
 
 from .errors import DimensionError, NoConvergence, NotEquilibrium, ParseError
 
-DARE_TOL = 1e-12
-DARE_MAX_ITER = 100_000
 DARE_RESIDUAL_TOL = 1e-10
+PBH_TOL = 1e-9
 EQUILIBRIUM_TOL = 1e-9
 
 
@@ -22,6 +22,8 @@ def _matrix(obj, what, rows=None, cols=None):
         M = np.array(obj, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{what}: not a numeric matrix") from exc
+    if not np.all(np.isfinite(M)):
+        raise ParseError(f"{what}: non-finite entry")
     if M.ndim == 1 and M.size == 0:
         M = M.reshape(0, cols if cols is not None else 0)
     if M.ndim != 2:
@@ -38,6 +40,8 @@ def _vector(obj, what, size=None):
         v = np.array(obj, dtype=float).reshape(-1)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{what}: not a numeric vector") from exc
+    if not np.all(np.isfinite(v)):
+        raise ParseError(f"{what}: non-finite entry")
     if size is not None and v.size != size:
         raise DimensionError(f"{what}: expected length {size}, got {v.size}")
     return v
@@ -471,35 +475,37 @@ def save_scenario(scenario, path):
         fh.write("\n")
 
 
-def solve_dare(A, B, Q, R, tol=DARE_TOL, max_iter=DARE_MAX_ITER):
-    """Solve the discrete-time algebraic Riccati equation by fixed-point
-    iteration from P = Q.  Returns (P, K) with K the optimal feedback gain.
+def solve_dare(A, B, Q, R):
+    """Solve the discrete-time algebraic Riccati equation.  Returns (P, K)
+    with K the optimal feedback gain.
 
-    Convergence of this iteration doubles as the stabilizability test:
-    a non-stabilizable pair makes the iteration diverge, raising NoConvergence.
+    The pair (A, B) is first checked for stabilizability by the PBH (Hautus)
+    test: every eigenvalue lam of A with |lam| >= 1 needs rank [A - lam I, B]
+    = n.  A failed test, a failed Schur solve or a residual above tolerance
+    raises NoConvergence.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     R = np.atleast_2d(np.asarray(R, dtype=float))
-    P = Q.copy()
-    for _ in range(max_iter):
-        BtP = B.T @ P
-        K = np.linalg.solve(R + BtP @ B, BtP @ A)
-        Pn = A.T @ P @ A - (A.T @ P @ B) @ K + Q
-        Pn = 0.5 * (Pn + Pn.T)
-        if not np.all(np.isfinite(Pn)) or np.max(np.abs(Pn)) > 1e100:
-            raise NoConvergence("Riccati iteration diverged (pair not stabilizable?)")
-        if np.linalg.norm(Pn - P, "fro") <= tol * max(1.0, np.linalg.norm(P, "fro")):
-            P = Pn
-            BtP = B.T @ P
-            K = np.linalg.solve(R + BtP @ B, BtP @ A)
-            resid = np.linalg.norm(A.T @ P @ A - (A.T @ P @ B) @ K + Q - P, "fro")
-            if resid > DARE_RESIDUAL_TOL * max(1.0, np.linalg.norm(P, "fro")):
-                raise NoConvergence(f"DARE residual {resid:.3e} above tolerance")
-            return P, K
-        P = Pn
-    raise NoConvergence("Riccati iteration did not converge within the cap")
+    n = A.shape[0]
+    rank_tol = PBH_TOL * max(1.0, np.linalg.norm(A), np.linalg.norm(B))
+    for lam in np.linalg.eigvals(A):
+        if abs(lam) >= 1.0 - PBH_TOL and np.linalg.matrix_rank(
+                np.hstack([A - lam * np.eye(n), B]), tol=rank_tol) < n:
+            raise NoConvergence(
+                f"pair (A, B) is not stabilizable: mode {lam:.6g} is uncontrollable")
+    try:
+        P = solve_discrete_are(A, B, Q, R)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"Riccati solve failed ({exc})") from exc
+    P = 0.5 * (P + P.T)
+    BtP = B.T @ P
+    K = np.linalg.solve(R + BtP @ B, BtP @ A)
+    resid = np.linalg.norm(A.T @ P @ A - (A.T @ P @ B) @ K + Q - P, "fro")
+    if resid > DARE_RESIDUAL_TOL * max(1.0, np.linalg.norm(P, "fro")):
+        raise NoConvergence(f"DARE residual {resid:.3e} above tolerance")
+    return P, K
 
 
 @dataclass

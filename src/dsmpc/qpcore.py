@@ -2,20 +2,21 @@
 
     min_z  0.5 z' P z + q' z   s.t.   A z <= r,      P positive definite.
 
-Accelerated projected gradient on the constraint multipliers, interleaved
-with an active-set polish step that solves the equality-constrained KKT
-system and recovers nonnegative multipliers by NNLS.  A solution is accepted
-only when its KKT residual (stationarity, feasibility, sign, complementarity)
-is below TOL, so the certificate is independent of the iteration path.
-Emptiness of the constraint set is certified with a feasibility LP before
-Infeasible is raised.
-"""
+P = L L' and V = L^-1 A' are computed once.  A solve first tries an
+active-set polish from the caller's warm active set, which solves only the
+Schur systems of the active rows on the cached factor and forms no KKT
+matrix.  Accelerated projected gradient on the multipliers is the cold path;
+every POLISH_EVERY iterations it hands its near-active rows to the polish.  A
+solution is accepted only when its KKT residual (stationarity, feasibility,
+sign, complementarity) is below TOL, so the certificate is independent of the
+iteration path.  Emptiness of the constraint set is certified with a
+feasibility LP before Infeasible is raised."""
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
-from scipy.optimize import linprog, nnls
+from scipy.linalg.lapack import dpotrs, dpstrf, dtrtrs
+from scipy.optimize import linprog
 
 from .errors import Infeasible, MaxIters
 
@@ -24,6 +25,7 @@ FEAS_TOL = 1e-8         # primal slack still counted as feasible
 MAX_ITER = 200_000
 POLISH_EVERY = 25       # gradient iterations between active-set polishes
 POLISH_ROUNDS = 40      # active-set refinements per polish
+PIVOT_TOL = 1e-10       # relative Schur pivot below which a row is dependent
 DIVERGENCE_CAP = 1e8
 
 
@@ -36,6 +38,11 @@ class QPResult:
     iters: int
 
 
+def _cho_solve(U, b):
+    """Solve U'U x = b for an upper Cholesky factor U, including 0 x 0."""
+    return dpotrs(U, b)[0] if b.size else b
+
+
 class DenseQP:
     """Factorized problem structure (P, A); q and r vary per solve."""
 
@@ -43,33 +50,30 @@ class DenseQP:
         P = np.atleast_2d(np.asarray(P, dtype=float))
         self.P = 0.5 * (P + P.T)
         try:
-            self.chol = np.linalg.cholesky(self.P)
+            self.chol = np.asfortranarray(np.linalg.cholesky(self.P))
         except np.linalg.LinAlgError as exc:
             raise ValueError("QP Hessian is not positive definite") from exc
         self.A = np.asarray(A, dtype=float).reshape(-1, P.shape[0])
         self.n = P.shape[0]
         self.k = self.A.shape[0]
+        self.V = dtrtrs(self.chol, self.A.T, lower=1)[0]  # L^-1 A'
         if self.k:
-            W = solve_triangular(self.chol, self.A.T, lower=True)
-            lmax = float(np.linalg.eigvalsh(W.T @ W).max())
+            lmax = float(np.linalg.eigvalsh(
+                self.V @ self.V.T if self.n < self.k else self.V.T @ self.V).max())
             self.dual_step = 1.0 / max(lmax, 1e-300)
         else:
             self.dual_step = 0.0
 
     def _primal(self, q, nu=None):
         rhs = q if nu is None else q + self.A.T @ nu
-        return -cho_solve((self.chol, True), rhs)
+        return -dpotrs(self.chol, rhs, lower=1)[0]
 
     def kkt_residual(self, z, nu, q, r):
-        stat = float(np.max(np.abs(self.P @ z + q + self.A.T @ nu))) if self.k \
-            else float(np.max(np.abs(self.P @ z + q)))
-        if not self.k:
-            return stat
-        slack = r - self.A @ z
-        pfeas = float(max(0.0, -slack.min()))
-        dfeas = float(max(0.0, -nu.min())) if nu.size else 0.0
-        comp = float(np.max(np.abs(nu * slack))) if nu.size else 0.0
-        return max(stat, pfeas, dfeas, comp)
+        res = np.abs(self.P @ z + q + self.A.T @ nu).max()
+        if self.k:
+            slack = r - self.A @ z
+            res = max(res, -slack.min(), -nu.min(), np.abs(nu * slack).max())
+        return float(res)
 
     def _certify_infeasible(self, r):
         res = linprog(
@@ -82,60 +86,56 @@ class DenseQP:
         return res.status == 2
 
     def _try_polish(self, q, r, active):
-        """Equality-solve on a candidate active set, refining it by adding
-        violated rows and dropping zero-multiplier rows.  Returns a certified
-        QPResult or None."""
-        active = set(int(i) for i in active)
+        """Active-set solve on the factor: (V_a' V_a) w = -(r_a + V_a' L^-1 q),
+        z = -L^-T (L^-1 q + V_a w), rows dependent on the others dropped by a
+        pivoted Cholesky.  The most negative multiplier goes until the set is
+        dual feasible; the most violated row p then enters by Goldfarb-Idnani
+        steps, raising its multiplier t and dropping the row whose multiplier
+        reaches zero first.  Returns a certified QPResult or None."""
+        y = dtrtrs(self.chol, q, lower=1)[0]
+        active = sorted(set(int(i) for i in active))
+        p, t = -1, 0.0
         for _ in range(POLISH_ROUNDS):
-            idx = sorted(active)
-            Aa = self.A[idx]
-            ka = len(idx)
-            if ka:
-                kkt = np.zeros((self.n + ka, self.n + ka))
-                kkt[: self.n, : self.n] = self.P
-                kkt[: self.n, self.n:] = Aa.T
-                kkt[self.n:, : self.n] = Aa
-                rhs = np.concatenate([-q, r[idx]])
-                sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-                for _ in range(2):  # refinement keeps pinned slacks near eps_mach
-                    corr, *_ = np.linalg.lstsq(kkt, rhs - kkt @ sol, rcond=None)
-                    sol = sol + corr
-                z = sol[: self.n]
-            else:
-                z = self._primal(q)
-            slack = r - self.A @ z
-            worst = int(np.argmin(slack)) if self.k else -1
-            if self.k and slack[worst] < -FEAS_TOL:
-                if worst in active:
-                    return None  # inconsistent active set; resume iterating
-                active.add(worst)
-                continue
-            grad = self.P @ z + q
-            if ka:
-                w, resid = nnls(Aa.T, -grad)
-                support = np.flatnonzero(w > 0.0)
-                if support.size:
-                    # re-solve on the support for full precision
-                    ws, *_ = np.linalg.lstsq(Aa[support].T, -grad, rcond=None)
-                    if ws.min() >= -10 * TOL:
-                        w = np.zeros(ka)
-                        w[support] = np.maximum(ws, 0.0)
-                        resid = float(np.linalg.norm(Aa.T @ w + grad))
-            else:
-                w, resid = np.zeros(0), float(np.linalg.norm(grad))
-            if resid > 10 * TOL:
-                dropped = {i for i, wi in zip(idx, w) if wi <= 1e-14}
-                if dropped and dropped != active:
-                    active -= dropped
+            Va = self.V[:, active]
+            S = Va.T @ Va
+            U, piv, rank, _ = dpstrf(S, tol=PIVOT_TOL * S.diagonal().max(initial=0.0))
+            keep = piv[:rank] - 1
+            active = [active[i] for i in keep]
+            Va, U = Va[:, keep], U[:rank, :rank]
+            yt = y if p < 0 else y + t * self.V[:, p]
+            w = np.zeros(rank)
+            for _ in range(2):  # solve, then one refinement step
+                w -= _cho_solve(U, r[active] + Va.T @ (yt + Va @ w))
+            z = -dtrtrs(self.chol, yt + Va @ w, lower=1, trans=1)[0]
+            if p < 0:
+                if rank and w.min() < 0.0:
+                    del active[int(np.argmin(w))]
                     continue
-                return None
-            nu = np.zeros(self.k)
-            for i, wi in zip(idx, w):
-                nu[i] = wi
-            res = self.kkt_residual(z, nu, q, r)
-            if res <= TOL:
-                return QPResult(z, nu, tuple(i for i in idx if nu[i] > 0.0), res, 0)
-            return None
+                slack = r - self.A @ z
+                p = int(np.argmin(slack))
+                if slack[p] >= -0.1 * TOL:
+                    nu = np.zeros(self.k)
+                    nu[active] = w
+                    res = self.kkt_residual(z, nu, q, r)
+                    active = tuple(np.flatnonzero(nu > 0.0).tolist())
+                    return QPResult(z, nu, active, res, 0) if res <= TOL else None
+            # Raising t by s moves w by -s rho and the slack of row p by s pivot.
+            vp = self.V[:, p]
+            rho = _cho_solve(U, Va.T @ vp)
+            pivot = vp @ vp - (Va.T @ vp) @ rho
+            full = np.inf if pivot <= PIVOT_TOL * (vp @ vp) else \
+                (self.A[p] @ z - r[p]) / pivot
+            ratio = np.append(np.divide(np.maximum(w, 0.0), rho, where=rho > 0.0,
+                                        out=np.full(rank, np.inf)), np.inf)
+            j = int(np.argmin(ratio))
+            if ratio[j] < full:
+                t += ratio[j]
+                del active[j]
+            elif full < np.inf:
+                active.append(p)
+                p, t = -1, 0.0
+            else:
+                return None  # row p cannot be met; resume iterating
         return None
 
     def solve(self, q, r, warm_nu=None, warm_active=None):
@@ -143,10 +143,7 @@ class DenseQP:
         r = np.asarray(r, dtype=float).reshape(self.k)
 
         z = self._primal(q)
-        if self.k == 0:
-            return QPResult(z, np.zeros(0), (), self.kkt_residual(z, np.zeros(0), q, r), 0)
-        slack0 = r - self.A @ z
-        if slack0.min() >= -min(TOL, FEAS_TOL):
+        if not self.k or (r - self.A @ z).min() >= -min(TOL, FEAS_TOL):
             nu = np.zeros(self.k)
             return QPResult(z, nu, (), self.kkt_residual(z, nu, q, r), 0)
 

@@ -5,6 +5,8 @@ rollouts, brute-force rank tests, random feasible probing) and deliberately
 avoids the package's own condensation/solver code paths.
 """
 
+from itertools import combinations
+
 import numpy as np
 
 
@@ -98,6 +100,31 @@ def probe_qp_optimality(H, g, C, r, u_star, rng, trials=200, radius=1.0):
                 continue
         worst = min(worst, obj(v) - base)
     return worst
+
+
+def qp_by_enumeration(P, q, A, r, feas_tol=1e-10, dual_tol=1e-9):
+    """Minimizer of 0.5 z'Pz + q'z s.t. A z <= r (P positive definite) by
+    trying every set of linearly independent rows as equalities: each KKT
+    system is solved directly, and the best primal-feasible point with
+    nonnegative multipliers wins.  Exponential in the row count (k <= 8)."""
+    P, A = np.atleast_2d(P), np.atleast_2d(A)
+    n, k = P.shape[0], A.shape[0]
+    best, best_val = None, np.inf
+    for size in range(min(n, k) + 1):
+        for S in combinations(range(k), size):
+            S = list(S)
+            As = A[S]
+            if size and np.linalg.matrix_rank(As) < size:
+                continue
+            kkt = np.block([[P, As.T], [As, np.zeros((size, size))]])
+            sol = np.linalg.solve(kkt, np.concatenate([-q, r[S]]))
+            z, w = sol[:n], sol[n:]
+            if np.any(A @ z > r + feas_tol) or np.any(w < -dual_tol):
+                continue
+            val = 0.5 * z @ P @ z + q @ z
+            if val < best_val:
+                best, best_val = z, val
+    return best
 
 
 def golden_ratio():

@@ -42,6 +42,14 @@ class TestExitCodes:
         code = run(["check", "--scenario", str(bad), "--out", str(tmp_path)])
         assert code == 3
 
+    def test_non_finite_entry_scenario_error(self, tmp_path, formation3_path):
+        doc = json.loads(open(formation3_path).read())
+        doc["agents"][1]["B"][0][0] = float("inf")
+        bad = tmp_path / "inf.json"
+        bad.write_text(json.dumps(doc))
+        code = run(["check", "--scenario", str(bad), "--out", str(tmp_path)])
+        assert code == 3
+
     def test_solver_failure_reported(self, tmp_path, formation3_path):
         p = tight_scenario(formation3_path, tmp_path)
         code = run(["solve", "--scenario", str(p), "--iters", "3",

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsmpc.condense import condense_agent
 from dsmpc.errors import Infeasible
@@ -8,7 +10,7 @@ from dsmpc.model import AgentModel, Polytope
 from dsmpc.qpcore import DenseQP
 
 from conftest import make_axis_agent
-from oracles import probe_qp_optimality
+from oracles import probe_qp_optimality, qp_by_enumeration
 
 
 def boxed_scalar_agent(lo=-10.0, hi=10.0, coupling_rows=1):
@@ -187,3 +189,48 @@ class TestDenseQP:
             assert res.kkt_residual <= 1e-9
             margin = probe_qp_optimality(P, q, A, r, res.z, rng, trials=60)
             assert margin >= -1e-7
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
+           n_ineq=st.integers(1, 4), n_dup=st.integers(0, 2),
+           n_eq=st.integers(0, 1))
+    def test_matches_enumeration_with_dependent_rows(self, seed, n, n_ineq,
+                                                     n_dup, n_eq):
+        # duplicated rows and +/- equality pairs make the active rows
+        # linearly dependent; cold and wrongly warm-started solves must
+        # still land on the unique minimizer
+        rng = np.random.default_rng(seed)
+        M = rng.normal(size=(n, n))
+        P = M @ M.T + 0.5 * np.eye(n)
+        z0 = rng.normal(size=n)
+        A = rng.normal(size=(n_ineq, n))
+        r = A @ z0 + rng.uniform(0.0, 1.0, size=n_ineq)
+        dup = rng.integers(0, n_ineq, size=n_dup)
+        A, r = np.vstack([A, A[dup]]), np.concatenate([r, r[dup]])
+        for _ in range(n_eq):
+            a = rng.normal(size=n)
+            A = np.vstack([A, a, -a])
+            r = np.concatenate([r, [a @ z0, -(a @ z0)]])
+        q = -P @ (z0 + rng.normal(scale=3.0, size=n))
+        expected = qp_by_enumeration(P, q, A, r)
+        qp = DenseQP(P, A)
+        wrong = tuple(np.flatnonzero(rng.random(A.shape[0]) < 0.5).tolist())
+        for warm in (None, wrong):
+            res = qp.solve(q, r, warm_active=warm)
+            assert res.kkt_residual <= 1e-9
+            assert np.max(np.abs(res.z - expected)) <= 1e-9
+
+    def test_wrong_sign_equality_row_polishes_without_iterations(self):
+        # z0 = 0.3 pinned by the pair (rows 0, 1) with a multiplier of 6e-9 on
+        # row 0; a warm set holding row 1 must be repaired by the polish
+        # itself (drop row 1, add row 0), not by gradient iterations
+        P = np.diag([1.0, 2.0])
+        A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+        r = np.array([0.3, -0.3, 5.0])
+        q = np.array([-(0.3 + 6e-9), 1.0])
+        res = DenseQP(P, A).solve(q, r, warm_active=(1,))
+        assert res.iters == 0
+        assert res.active == (0,)
+        assert res.nu[0] == pytest.approx(6e-9, rel=1e-6)
+        assert res.z == pytest.approx([0.3, -0.5], abs=1e-12)
+        assert res.kkt_residual <= 1e-9

@@ -1,11 +1,12 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
 from dsmpc.errors import (DimensionError, NoConvergence, NotEquilibrium,
                           ParseError)
-from dsmpc.model import (Polytope, Scenario, load_scenario,
+from dsmpc.model import (Polytope, Scenario, _matrix, _vector, load_scenario,
                          save_scenario, shift_to_target, solve_dare,
                          unshift_states, validate_assumptions)
 
@@ -42,6 +43,13 @@ class TestSolveDare:
     def test_unstabilizable_pair_raises(self):
         with pytest.raises(NoConvergence):
             solve_dare([[2.0]], [[0.0]], [[1.0]], [[1.0]])
+
+    def test_uncontrollable_unit_circle_mode_fails_fast(self):
+        # the second mode of A = I sits on the unit circle and B cannot reach it
+        tic = time.perf_counter()
+        with pytest.raises(NoConvergence):
+            solve_dare(np.eye(2), [[1.0], [0.0]], np.eye(2), [[1.0]])
+        assert time.perf_counter() - tic < 0.5
 
 
 class TestLoadScenario:
@@ -92,6 +100,25 @@ class TestLoadScenario:
         save_scenario(formation3, path)
         again = load_scenario(path)
         assert again.digest() == formation3.digest()
+
+
+class TestNonFinite:
+    def test_matrix_nan_names_field(self):
+        with pytest.raises(ParseError, match=r"agents\[0\]\.A"):
+            _matrix([[1.0, float("nan")]], "agents[0].A")
+
+    def test_vector_inf_names_field(self):
+        with pytest.raises(ParseError, match="x0"):
+            _vector([0.0, float("inf")], "agent a: x0")
+
+    def test_scenario_with_nan_names_agent_and_field(self, tmp_path,
+                                                     formation3_path):
+        doc = json.loads(open(formation3_path).read())
+        doc["agents"][0]["A"][0][0] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))  # written as the JSON literal NaN
+        with pytest.raises(ParseError, match=r": A: non-finite"):
+            load_scenario(path)
 
 
 class TestValidateAssumptions:
