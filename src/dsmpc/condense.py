@@ -139,7 +139,8 @@ class GlobalQP:
     `coupling_norms` holds ||E_i H_i^{-1} E_i'|| per agent, the top
     eigenvalue of the nu x nu Gram matrix W W' with W = L^{-1} E_i' on the
     agent's Cholesky factor (W' W has the same nonzero eigenvalues).
-    `oracle_ws` holds the oracle's stacked workspaces, keyed by eps.
+    `oracle_ws` holds the oracle's stacked blocks and its DenseQP per eps,
+    built on first use.
     """
 
     agents: list
@@ -151,8 +152,8 @@ class GlobalQP:
     bbar: np.ndarray
     digest: str = ""
     coupling_norms: list = field(init=False, repr=False, compare=False)
-    oracle_ws: dict = field(default_factory=dict, init=False, repr=False,
-                            compare=False)
+    oracle_ws: object = field(default=None, init=False, repr=False,
+                              compare=False)
 
     def __post_init__(self):
         self.coupling_norms = []

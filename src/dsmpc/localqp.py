@@ -20,7 +20,6 @@ class LocalSolve:
     nu: np.ndarray
     active_set: tuple
     kkt_residual: float
-    inner_iters: int
 
 
 def solve_local(ca, x, lam, warm=None):
@@ -35,12 +34,8 @@ def solve_local(ca, x, lam, warm=None):
     lam = np.asarray(lam, dtype=float)
     q = ca.G @ x if lam.size == 0 else ca.G @ x + ca.E.T @ lam
     r = ca.c - ca.D @ x
-    res = ca.qp.solve(
-        q, r,
-        warm_nu=None if warm is None else warm.nu,
-        warm_active=None if warm is None else warm.active_set,
-    )
-    return LocalSolve(res.z, res.nu, res.active, res.kkt_residual, res.iters)
+    res = ca.qp.solve(q, r, warm_active=None if warm is None else warm.active_set)
+    return LocalSolve(res.z, res.nu, res.active, res.kkt_residual)
 
 
 def inner_value(ca, x, lam, solve):

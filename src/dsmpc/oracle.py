@@ -47,13 +47,9 @@ class OracleSolution:
 
 def _stacked(g, x):
     x_parts = g.split_states(x)
-    H_all = block_diag(*[ca.H for ca in g.agents])
     q = np.concatenate([ca.G @ xi for ca, xi in zip(g.agents, x_parts)])
-    C_loc = block_diag(*[ca.C for ca in g.agents])
     r_loc = np.concatenate([ca.c - ca.D @ xi for ca, xi in zip(g.agents, x_parts)])
-    E_all = np.hstack([ca.E for ca in g.agents]) if g.n_dual else \
-        np.zeros((0, sum(ca.nu for ca in g.agents)))
-    return H_all, q, C_loc, r_loc, E_all, g.state_image(x_parts)
+    return q, r_loc, g.state_image(x_parts)
 
 
 def _reg_kkt_residual(H_all, q, C_loc, r_loc, E_all, b_eff, u, nu, lam, eps):
@@ -76,31 +72,35 @@ def _reg_kkt_residual(H_all, q, C_loc, r_loc, E_all, b_eff, u, nu, lam, eps):
     return res
 
 
-def _workspace(g, eps):
-    """The stacked DenseQP at this eps, factorized on first use and kept in
-    g.oracle_ws."""
-    key = float(eps)
-    if key in g.oracle_ws:
-        return g.oracle_ws[key]
-    H_all = block_diag(*[ca.H for ca in g.agents])
-    C_loc = block_diag(*[ca.C for ca in g.agents])
-    E_all = np.hstack([ca.E for ca in g.agents]) if g.n_dual else \
-        np.zeros((0, H_all.shape[0]))
-    if eps == 0.0:
-        P = H_all
-        A = np.vstack([C_loc, E_all])
-    else:
-        # Relaxation variable scaled by sqrt(eps) keeps the KKT system
-        # well conditioned down to very small regularization.
-        nv, p = H_all.shape[0], g.n_dual
-        P = block_diag(H_all, np.eye(p))
-        A = np.block([
-            [C_loc, np.zeros((C_loc.shape[0], p))],
-            [E_all, -np.sqrt(eps) * np.eye(p)],
-        ])
-    ws = DenseQP(P, A)
-    g.oracle_ws[key] = ws
-    return ws
+class _Workspace:
+    """The stacked blocks of a GlobalQP, built once, and the stacked DenseQP
+    per eps, factorized on first use."""
+
+    def __init__(self, g):
+        self.H_all = block_diag(*[ca.H for ca in g.agents])
+        self.C_loc = block_diag(*[ca.C for ca in g.agents])
+        self.E_all = np.hstack([ca.E for ca in g.agents]) if g.n_dual else \
+            np.zeros((0, self.H_all.shape[0]))
+        self.qps = {}
+
+    def qp(self, eps):
+        key = float(eps)
+        if key not in self.qps:
+            H_all, C_loc, E_all = self.H_all, self.C_loc, self.E_all
+            if eps == 0.0:
+                P = H_all
+                A = np.vstack([C_loc, E_all])
+            else:
+                # Relaxation variable scaled by sqrt(eps) keeps the KKT system
+                # well conditioned down to very small regularization.
+                p = E_all.shape[0]
+                P = block_diag(H_all, np.eye(p))
+                A = np.block([
+                    [C_loc, np.zeros((C_loc.shape[0], p))],
+                    [E_all, -np.sqrt(eps) * np.eye(p)],
+                ])
+            self.qps[key] = DenseQP(P, A)
+        return self.qps[key]
 
 
 def solve_centralized(g, x, eps):
@@ -116,42 +116,30 @@ def solve_centralized(g, x, eps):
     if eps < 0:
         raise ValueError("eps must be >= 0")
     x = np.asarray(x, dtype=float)
-    H_all, q, C_loc, r_loc, E_all, Fx = _stacked(g, x)
+    if g.oracle_ws is None:
+        g.oracle_ws = _Workspace(g)
+    ws = g.oracle_ws
+    q, r_loc, Fx = _stacked(g, x)
     b_eff = g.b - Fx
-    k_loc = C_loc.shape[0]
-    n_u = H_all.shape[0]
-    ws = _workspace(g, eps)
+    r = np.concatenate([r_loc, b_eff])
+    k_loc, n_u = ws.C_loc.shape[0], ws.H_all.shape[0]
+    qp = ws.qp(eps)
 
-    if eps == 0.0:
-        res = ws.solve(q, np.concatenate([r_loc, b_eff]))
-        u = res.z
-        nu = res.nu[:k_loc]
-        lam = res.nu[k_loc:]
-        kkt = res.kkt_residual
-    else:
-        p = g.n_dual
-        res = ws.solve(np.concatenate([q, np.zeros(p)]),
-                       np.concatenate([r_loc, b_eff]))
-        u = res.z[:n_u]
-        nu = res.nu[:k_loc]
-        lam = res.nu[k_loc:]
-        kkt = _reg_kkt_residual(H_all, q, C_loc, r_loc, E_all, b_eff,
-                                u, nu, lam, eps)
+    res = qp.solve(q if eps == 0.0 else np.concatenate([q, np.zeros(g.n_dual)]), r)
+    u, nu, lam = res.z[:n_u], res.nu[:k_loc], res.nu[k_loc:]
+    kkt = res.kkt_residual if eps == 0.0 else _reg_kkt_residual(
+        ws.H_all, q, ws.C_loc, r_loc, ws.E_all, b_eff, u, nu, lam, eps)
     if kkt > 10 * ORACLE_TOL:
         raise NoConvergence(f"oracle KKT residual {kkt:.3e} above tolerance")
 
     nonunique = False
     if eps == 0.0:
-        act = [i for i in range(k_loc) if nu[i] > ORACLE_TOL or
-               (r_loc - C_loc @ u)[i] < 1e-10]
-        act_c = [j for j in range(g.n_dual) if lam[j] > ORACLE_TOL or
-                 (b_eff - E_all @ u)[j] < 1e-10]
-        Aact = np.vstack([C_loc[act], E_all[act_c]]) if (act or act_c) else \
-            np.zeros((0, n_u))
-        if Aact.shape[0]:
-            sv = np.linalg.svd(Aact, compute_uv=False)
+        # rows of A = [C_loc; E_all] with a positive multiplier or no slack
+        act = np.flatnonzero((res.nu > ORACLE_TOL) | (r - qp.A @ u < 1e-10))
+        if act.size:
+            sv = np.linalg.svd(qp.A[act], compute_uv=False)
             nonunique = bool(sv.min() < 1e-8 * max(1.0, sv.max())) or \
-                Aact.shape[0] > n_u
+                act.size > n_u
 
     return OracleSolution(
         u=u, lam=lam, nu=nu, kkt_residual=float(kkt),

@@ -2,15 +2,17 @@
 
     min_z  0.5 z' P z + q' z   s.t.   A z <= r,      P positive definite.
 
-P = L L' and V = L^-1 A' are computed once.  A solve first tries an
-active-set polish from the caller's warm active set, which solves only the
-Schur systems of the active rows on the cached factor and forms no KKT
-matrix.  Accelerated projected gradient on the multipliers is the cold path;
-every POLISH_EVERY iterations it hands its near-active rows to the polish.  A
-solution is accepted only when its KKT residual (stationarity, feasibility,
-sign, complementarity) is below TOL, so the certificate is independent of the
-iteration path.  Emptiness of the constraint set is certified with a
-feasibility LP before Infeasible is raised."""
+P = L L' and V = L^-1 A' are computed once.  One method solves every
+instance: the Goldfarb-Idnani dual active-set method (Math. Prog. 27, 1983)
+on the cached factor, which solves only the Schur systems of the active rows
+and forms no KKT matrix.  A solve tries, in order, the unconstrained
+minimizer; the affine law of the caller's warm active set a, on which
+(z, w) = M_a (q, r_a) (the law of explicit MPC; the law of the last warm set
+is kept); the active-set polish from the warm set; and Goldfarb-Idnani from
+the empty set.  A solution is accepted only when its KKT residual
+(stationarity, feasibility, sign, complementarity) is below TOL, so the
+certificate is independent of the path.  Emptiness of the constraint set is
+certified with a feasibility LP before Infeasible is raised."""
 
 from dataclasses import dataclass
 
@@ -22,11 +24,8 @@ from .errors import Infeasible, MaxIters
 
 TOL = 1e-9              # KKT residual accepted as a solution
 FEAS_TOL = 1e-8         # primal slack still counted as feasible
-MAX_ITER = 200_000
-POLISH_EVERY = 25       # gradient iterations between active-set polishes
-POLISH_ROUNDS = 40      # active-set refinements per polish
+POLISH_ROUNDS = 40      # active-set refinements from a warm set
 PIVOT_TOL = 1e-10       # relative Schur pivot below which a row is dependent
-DIVERGENCE_CAP = 1e8
 
 
 @dataclass
@@ -35,7 +34,7 @@ class QPResult:
     nu: np.ndarray
     active: tuple
     kkt_residual: float
-    iters: int
+    iters: int          # Goldfarb-Idnani rounds of a cold start, else 0
 
 
 def _cho_solve(U, b):
@@ -57,16 +56,7 @@ class DenseQP:
         self.n = P.shape[0]
         self.k = self.A.shape[0]
         self.V = dtrtrs(self.chol, self.A.T, lower=1)[0]  # L^-1 A'
-        if self.k:
-            lmax = float(np.linalg.eigvalsh(
-                self.V @ self.V.T if self.n < self.k else self.V.T @ self.V).max())
-            self.dual_step = 1.0 / max(lmax, 1e-300)
-        else:
-            self.dual_step = 0.0
-
-    def _primal(self, q, nu=None):
-        rhs = q if nu is None else q + self.A.T @ nu
-        return -dpotrs(self.chol, rhs, lower=1)[0]
+        self.law = None  # (sorted warm set, its _independent rows, M)
 
     def kkt_residual(self, z, nu, q, r):
         res = np.abs(self.P @ z + q + self.A.T @ nu).max()
@@ -85,23 +75,53 @@ class DenseQP:
         )
         return res.status == 2
 
-    def _try_polish(self, q, r, active):
-        """Active-set solve on the factor: (V_a' V_a) w = -(r_a + V_a' L^-1 q),
-        z = -L^-T (L^-1 q + V_a w), rows dependent on the others dropped by a
-        pivoted Cholesky.  The most negative multiplier goes until the set is
-        dual feasible; the most violated row p then enters by Goldfarb-Idnani
-        steps, raising its multiplier t and dropping the row whose multiplier
-        reaches zero first.  Returns a certified QPResult or None."""
+    def _independent(self, active):
+        """The rows of `active` left after a pivoted Cholesky of
+        S = V_a' V_a drops those dependent on the others, their columns V_a
+        and the upper factor U of their S."""
+        Va = self.V[:, active]
+        S = Va.T @ Va
+        U, piv, rank, _ = dpstrf(S, tol=PIVOT_TOL * S.diagonal().max(initial=0.0))
+        keep = piv[:rank] - 1
+        return [active[i] for i in keep], Va[:, keep], U[:rank, :rank]
+
+    def _accept(self, q, r, z, rows, w, iters):
+        nu = np.zeros(self.k)
+        nu[rows] = w
+        res = self.kkt_residual(z, nu, q, r)
+        active = tuple(np.flatnonzero(nu > 0.0).tolist())
+        return QPResult(z, nu, active, res, iters) if res <= TOL else None
+
+    def _law(self, key):
+        """(indep, M) for the active set `key`: indep = (rows, V_rows, U) are
+        its independent rows, and (z, w) = M (q, r_rows) with
+        w = -S^-1 (r_a + V_a' L^-1 q) and z = -P^-1 q - L^-T V_a w.  Built from
+        the key alone, so a law is the same whether it was kept or is rebuilt."""
+        if self.law is None or self.law[0] != key:
+            rows, Va, U = indep = self._independent(list(key))
+            Y = dtrtrs(self.chol, Va, lower=1, trans=1)[0]  # L^-T V_a
+            W = -_cho_solve(U, np.hstack([Y.T, np.eye(len(rows))]))
+            Z = -Y @ W
+            Z[:, :self.n] -= dpotrs(self.chol, np.eye(self.n), lower=1)[0]
+            self.law = (key, indep, np.vstack([Z, W]))
+        return self.law[1:]
+
+    def _polish(self, q, r, start, rounds):
+        """Active-set solve on the factor from `start`, the _independent
+        result of the first set: (V_a' V_a) w = -(r_a + V_a' L^-1 q),
+        z = -L^-T (L^-1 q + V_a w), rows dependent on the others dropped.  The
+        most negative multiplier goes until the set is dual feasible; the
+        most violated row p then enters by Goldfarb-Idnani steps, raising its
+        multiplier t and dropping the row whose multiplier reaches zero
+        first.  Returns a certified QPResult, with the rounds it took, or
+        None."""
         y = dtrtrs(self.chol, q, lower=1)[0]
-        active = sorted(set(int(i) for i in active))
         p, t = -1, 0.0
-        for _ in range(POLISH_ROUNDS):
-            Va = self.V[:, active]
-            S = Va.T @ Va
-            U, piv, rank, _ = dpstrf(S, tol=PIVOT_TOL * S.diagonal().max(initial=0.0))
-            keep = piv[:rank] - 1
-            active = [active[i] for i in keep]
-            Va, U = Va[:, keep], U[:rank, :rank]
+        active, Va, U = list(start[0]), start[1], start[2]
+        for it in range(1, rounds + 1):
+            if it > 1:
+                active, Va, U = self._independent(active)
+            rank = len(active)
             yt = y if p < 0 else y + t * self.V[:, p]
             w = np.zeros(rank)
             for _ in range(2):  # solve, then one refinement step
@@ -114,11 +134,7 @@ class DenseQP:
                 slack = r - self.A @ z
                 p = int(np.argmin(slack))
                 if slack[p] >= -0.1 * TOL:
-                    nu = np.zeros(self.k)
-                    nu[active] = w
-                    res = self.kkt_residual(z, nu, q, r)
-                    active = tuple(np.flatnonzero(nu > 0.0).tolist())
-                    return QPResult(z, nu, active, res, 0) if res <= TOL else None
+                    return self._accept(q, r, z, active, w, it)
             # Raising t by s moves w by -s rho and the slack of row p by s pivot.
             vp = self.V[:, p]
             rho = _cho_solve(U, Va.T @ vp)
@@ -135,57 +151,37 @@ class DenseQP:
                 active.append(p)
                 p, t = -1, 0.0
             else:
-                return None  # row p cannot be met; resume iterating
+                return None  # no step meets row p: the set may be empty
         return None
 
-    def solve(self, q, r, warm_nu=None, warm_active=None):
+    def solve(self, q, r, warm_active=None):
         q = np.asarray(q, dtype=float).reshape(self.n)
         r = np.asarray(r, dtype=float).reshape(self.k)
 
-        z = self._primal(q)
-        if not self.k or (r - self.A @ z).min() >= -min(TOL, FEAS_TOL):
-            nu = np.zeros(self.k)
-            return QPResult(z, nu, (), self.kkt_residual(z, nu, q, r), 0)
+        z = -dpotrs(self.chol, q, lower=1)[0]
+        smin = (r - self.A @ z).min(initial=np.inf)
+        if smin >= -min(TOL, FEAS_TOL):
+            # with nu = 0 the KKT residual is stationarity and feasibility
+            res = max(np.abs(self.P @ z + q).max(), -smin)
+            return QPResult(z, np.zeros(self.k), (), float(res), 0)
 
         if warm_active:
-            out = self._try_polish(q, r, warm_active)
+            key = tuple(sorted(set(int(i) for i in warm_active)))
+            indep, M = self._law(key)
+            rows = indep[0]
+            zw = M @ np.concatenate([q, r[rows]])
+            z, w = zw[:self.n], zw[self.n:]
+            out = None
+            if w.min(initial=0.0) >= 0.0 and (r - self.A @ z).min() >= -0.1 * TOL:
+                out = self._accept(q, r, z, rows, w, 0)
+            out = out or self._polish(q, r, indep, POLISH_ROUNDS)
             if out is not None:
+                out.iters = 0
                 return out
 
-        # Accelerated projected gradient on the multipliers with
-        # gradient-based adaptive restart.
-        nu = np.maximum(warm_nu, 0.0) if warm_nu is not None else np.zeros(self.k)
-        y = nu.copy()
-        theta = 1.0
-        step = self.dual_step
-        scale = 1.0 + float(np.max(np.abs(r)))
-        certified_feasible = False
-        checkpoints = {500, 5_000, 50_000}
-        for it in range(1, MAX_ITER + 1):
-            z = self._primal(q, y)
-            grad = r - self.A @ z  # gradient of the negated dual at y
-            nu_next = np.maximum(y - step * grad, 0.0)
-            if (y - nu_next) @ (nu_next - nu) > 0.0:
-                theta = 1.0  # restart momentum
-            theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
-            y = nu_next + ((theta - 1.0) / theta_next) * (nu_next - nu)
-            nu, theta = nu_next, theta_next
-
-            if it % POLISH_EVERY == 0 or it == MAX_ITER:
-                zp = self._primal(q, nu)
-                slack = r - self.A @ zp
-                cand = set(np.flatnonzero(nu > max(TOL, 1e-12)).tolist())
-                cand |= set(np.flatnonzero(slack < FEAS_TOL * scale).tolist())
-                out = self._try_polish(q, r, cand)
-                if out is not None:
-                    out.iters = it
-                    return out
-                needs_check = (it in checkpoints or
-                               float(np.max(np.abs(nu))) > DIVERGENCE_CAP * scale)
-                if needs_check and not certified_feasible:
-                    if self._certify_infeasible(r):
-                        raise Infeasible("constraint set is empty")
-                    certified_feasible = True
-        if not certified_feasible and self._certify_infeasible(r):
+        out = self._polish(q, r, self._independent([]), 4 * self.k + 40)
+        if out is not None:
+            return out
+        if self._certify_infeasible(r):
             raise Infeasible("constraint set is empty")
-        raise MaxIters(f"QP solver stalled after {MAX_ITER} iterations")
+        raise MaxIters(f"QP solver stalled after {4 * self.k + 40} rounds")

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from dsmpc.condense import condense_agent
-from dsmpc.errors import Infeasible
+from dsmpc.errors import Infeasible, MaxIters
 from dsmpc.localqp import recover_input, solve_local
 from dsmpc.model import AgentModel, Polytope
 from dsmpc.qpcore import DenseQP
@@ -190,35 +191,105 @@ class TestDenseQP:
             margin = probe_qp_optimality(P, q, A, r, res.z, rng, trials=60)
             assert margin >= -1e-7
 
-    @settings(max_examples=80, deadline=None, derandomize=True)
+    @settings(max_examples=120, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
-           n_ineq=st.integers(1, 4), n_dup=st.integers(0, 2),
-           n_eq=st.integers(0, 1))
+           n_ineq=st.integers(1, 6), n_dup=st.integers(0, 2),
+           n_eq=st.integers(0, 1), cut=st.sampled_from([0.0, 1.0]))
     def test_matches_enumeration_with_dependent_rows(self, seed, n, n_ineq,
-                                                     n_dup, n_eq):
+                                                     n_dup, n_eq, cut):
         # duplicated rows and +/- equality pairs make the active rows
-        # linearly dependent; cold and wrongly warm-started solves must
-        # still land on the unique minimizer
+        # linearly dependent, up to 6 random rows give k > n, and cut > 0
+        # moves the random rows' right-hand sides below the point z0 so that
+        # some instances are empty; cold and warm-started solves must land on
+        # the unique minimizer, or raise Infeasible exactly when HiGHS finds
+        # no point
         rng = np.random.default_rng(seed)
         M = rng.normal(size=(n, n))
         P = M @ M.T + 0.5 * np.eye(n)
         z0 = rng.normal(size=n)
         A = rng.normal(size=(n_ineq, n))
-        r = A @ z0 + rng.uniform(0.0, 1.0, size=n_ineq)
+        r = A @ z0 + rng.uniform(-cut, 1.0, size=n_ineq)
         dup = rng.integers(0, n_ineq, size=n_dup)
         A, r = np.vstack([A, A[dup]]), np.concatenate([r, r[dup]])
         for _ in range(n_eq):
             a = rng.normal(size=n)
             A = np.vstack([A, a, -a])
-            r = np.concatenate([r, [a @ z0, -(a @ z0)]])
+            c = a @ z0 - rng.uniform(0.0, cut)  # a z = c: one shift, both rows
+            r = np.concatenate([r, [c, -c]])
         q = -P @ (z0 + rng.normal(scale=3.0, size=n))
-        expected = qp_by_enumeration(P, q, A, r)
+        empty = linprog(np.zeros(n), A_ub=A, b_ub=r, bounds=[(None, None)] * n,
+                        method="highs").status == 2
         qp = DenseQP(P, A)
         wrong = tuple(np.flatnonzero(rng.random(A.shape[0]) < 0.5).tolist())
-        for warm in (None, wrong):
+        if empty:
+            for warm in (None, wrong):
+                with pytest.raises(Infeasible):
+                    qp.solve(q, r, warm_active=warm)
+            return
+        expected = qp_by_enumeration(P, q, A, r)
+        cold = qp.solve(q, r)
+        for warm in (None, wrong, cold.active):
             res = qp.solve(q, r, warm_active=warm)
             assert res.kkt_residual <= 1e-9
             assert np.max(np.abs(res.z - expected)) <= 1e-9
+
+    def test_infeasible_only_after_lp_certificate(self):
+        # rows z <= -1 and -z <= -1 leave no point; with the LP certificate
+        # withheld the solver must stall, never report emptiness itself
+        qp = DenseQP(np.eye(1), np.array([[1.0], [-1.0]]))
+        r = np.array([-1.0, -1.0])
+        with pytest.raises(Infeasible):
+            qp.solve(np.zeros(1), r)
+        qp._certify_infeasible = lambda r: False
+        for warm in (None, (0,), (0, 1)):
+            with pytest.raises(MaxIters):
+                qp.solve(np.zeros(1), r, warm_active=warm)
+
+    def test_cold_start_with_more_rows_than_variables(self):
+        # 12 random rows on 3 variables: the cold start counts its rounds,
+        # and a warm start from its active set returns that set with none
+        rng = np.random.default_rng(3)
+        P = np.diag([1.0, 2.0, 3.0])
+        A = rng.normal(size=(12, 3))
+        r = rng.uniform(0.1, 0.5, size=12)
+        q = -P @ rng.normal(scale=4.0, size=3)
+        qp = DenseQP(P, A)
+        cold = qp.solve(q, r)
+        assert cold.iters >= len(cold.active) > 0
+        assert np.max(np.abs(cold.z - qp_by_enumeration(P, q, A, r))) <= 1e-9
+        warm = qp.solve(q, r, warm_active=cold.active)
+        assert warm.iters == 0
+        assert warm.active == cold.active
+        assert np.max(np.abs(warm.z - cold.z)) <= 1e-12
+
+    def test_result_independent_of_law_cache(self):
+        # a law is built from its warm set alone: the same (q, r, warm)
+        # gives the bit-identical result whether no law is kept, its own law
+        # is kept, or another set's law has replaced it
+        rng = np.random.default_rng(11)
+        n, k = 4, 14
+        M = rng.normal(size=(n, n))
+        P = M @ M.T + 0.5 * np.eye(n)
+        A = rng.normal(size=(k, n))
+        r = rng.uniform(0.05, 0.3, size=k)
+        q = -P @ rng.normal(scale=3.0, size=n)
+        right = DenseQP(P, A).solve(q, r).active
+        assert right
+        wrong = tuple(i for i in range(k) if i not in right)[:3]
+        for warm, other in ((right, wrong), (wrong, right)):
+            qp = DenseQP(P, A)
+            results = [qp.solve(q, r, warm_active=warm)]
+            assert qp.law[0] == warm
+            results.append(qp.solve(q, r, warm_active=warm))
+            qp.solve(q, r, warm_active=other)
+            assert qp.law[0] == other
+            results.append(qp.solve(q, r, warm_active=warm))
+            first = results[0]
+            for res in results[1:]:
+                assert np.array_equal(res.z, first.z)
+                assert np.array_equal(res.nu, first.nu)
+                assert (res.active, res.kkt_residual, res.iters) == \
+                    (first.active, first.kkt_residual, first.iters)
 
     def test_wrong_sign_equality_row_polishes_without_iterations(self):
         # z0 = 0.3 pinned by the pair (rows 0, 1) with a multiplier of 6e-9 on
