@@ -9,15 +9,14 @@ from .analysis import (ExperimentReport, contraction_estimate, iss_experiment,
                        violation_profile)
 from .condense import (CondensedAgent, GlobalQP, build_coupling,
                        condense_agent, condense_scenario, eval_condensed_cost)
-from .coordinator import (AdaRun, AdaState, contraction_factor, default_step,
-                          dual_cost, lipschitz_constant, min_iterations,
+from .coordinator import (AdaRun, contraction_factor, default_step, dual_cost,
+                          inner_solves, lipschitz_constant, min_iterations,
                           run_ada)
 from .errors import (DimensionError, DomainError, Infeasible, MaxIters,
                      NoConvergence, NotEquilibrium, ParseError, UnknownKind)
-from .localqp import LocalSolve, recover_input, solve_local
 from .model import (AgentModel, CouplingRow, CouplingSpec, Polytope, Scenario,
                     load_scenario, save_scenario, shift_to_target, solve_dare,
-                    unshift_states, validate_assumptions)
+                    validate_assumptions)
 from .oracle import (OracleSolution, feedback_laws,
                      simulate_optimal_closed_loop, solve_centralized,
                      value_function)

@@ -15,6 +15,10 @@ from .coordinator import (contraction_factor, default_step, dual_cost,
 from .oracle import ORACLE_TOL, recovered_law, solve_centralized
 from .plant import make_disturbance, simulate_closed_loop
 
+GAP_TOL = 1e-8          # slack on the accelerated-gradient gap bound
+CONTRACTION_TOL = 1e-6  # slack on the per-period contraction factor
+NOMINAL_TOL = 1e-3      # ultimate bound allowed without disturbance
+
 
 @dataclass
 class ExperimentReport:
@@ -69,7 +73,7 @@ class ExperimentReport:
         return jpath, cpath
 
 
-def suboptimality_curve(g, x, lam0, ell_max, eps, alpha=None, gap_tol=1e-8):
+def suboptimality_curve(g, x, lam0, ell_max, eps, alpha=None):
     """Dual gap of the projected iterate after each round, against the
     accelerated-gradient bound 2 ||lam0 - lam*||^2 / (alpha (ell+1)^2)."""
     if alpha is None:
@@ -89,12 +93,12 @@ def suboptimality_curve(g, x, lam0, ell_max, eps, alpha=None, gap_tol=1e-8):
         provenance={"scenario_digest": g.digest},
     )
     worst = float(np.max(gaps - bounds))
-    rep.add_check("gap_below_bound", worst <= gap_tol, worst, gap_tol)
+    rep.add_check("gap_below_bound", worst <= GAP_TOL, worst, GAP_TOL)
     return rep
 
 
 def contraction_estimate(g, x_fixed, ell, eps, alpha=None, trials=50, seed=0,
-                         scale=1.0, tol=1e-6):
+                         scale=1.0):
     """Empirical per-period contraction: worst ratio of the dual tracking
     error over random nonnegative starts, against 2/sqrt(alpha eps)/(ell+1).
 
@@ -124,7 +128,8 @@ def contraction_estimate(g, x_fixed, ell, eps, alpha=None, trials=50, seed=0,
         provenance={"scenario_digest": g.digest},
     )
     if not skipped:
-        rep.add_check("eta_hat_below_eta", eta_hat <= eta + tol, eta_hat, eta + tol)
+        rep.add_check("eta_hat_below_eta", eta_hat <= eta + CONTRACTION_TOL,
+                      eta_hat, eta + CONTRACTION_TOL)
     return eta_hat, rep
 
 
@@ -202,8 +207,7 @@ def regularization_sweep(g, states, eps_list):
     return rep
 
 
-def iss_experiment(scenario, ell, bounds_list, seeds, steps=None,
-                   nominal_tol=1e-3):
+def iss_experiment(scenario, ell, bounds_list, seeds, steps=None):
     """Empirical disturbance-to-state gain: trailing-half worst distance to
     target per disturbance bound, over seeds.  Checks that the aggregate is
     finite, non-decreasing in the bound, and small at bound zero."""
@@ -243,7 +247,7 @@ def iss_experiment(scenario, ell, bounds_list, seeds, steps=None,
                   mono_slack, 1e-9)
     if 0.0 in [float(b) for b in bounds_list]:
         i0 = [float(b) for b in bounds_list].index(0.0)
-        rep.add_check("nominal_small", agg[i0] <= nominal_tol, agg[i0],
-                      nominal_tol)
+        rep.add_check("nominal_small", agg[i0] <= NOMINAL_TOL, agg[i0],
+                      NOMINAL_TOL)
     rep.params["any_truncated"] = bool(truncated.any())
     return rep

@@ -66,8 +66,9 @@ def prediction_matrices(A, B, N):
     return Ahat, Bhat
 
 
-def condense_agent(agent, N):
-    """Build the condensed cost and local constraint matrices for one agent."""
+def condense_agent(agent, N, index=0):
+    """Build the condensed cost and local constraint matrices for one agent,
+    the `index`-th of its scenario."""
     if N < 1:
         raise DimensionError(f"horizon must be >= 1, got {N}")
     n, m = agent.n, agent.m
@@ -91,7 +92,7 @@ def condense_agent(agent, N):
     c = np.concatenate([np.tile(cu, N), np.tile(cx, N), cN])
 
     return CondensedAgent(
-        index=getattr(agent, "index", 0),
+        index=index,
         name=agent.name,
         n=n,
         m=m,
@@ -109,14 +110,14 @@ def condense_agent(agent, N):
     )
 
 
-def build_coupling(coupling, agents, condensed):
-    """Stack the coupling blocks over the horizon.
+def build_coupling(stage_Eu, stage_Ex, bbar, condensed):
+    """Stack the per-agent stage blocks (`CouplingSpec.stage_matrices`) and
+    the stage bound bbar over the horizon.
 
     Returns (E_list, F_list, b): per-agent E (Np x Nm) and F (Np x n) built
     from the predicted block rows 1..N of Bhat / Ahat, and b = 1_N (x) bbar.
     """
-    stage_Eu, stage_Ex = coupling.stage_matrices(agents)
-    p = coupling.p
+    p = bbar.size
     E_list, F_list = [], []
     for ca, Eu_s, Ex_s in zip(condensed, stage_Eu, stage_Ex):
         n, N = ca.n, ca.N
@@ -128,7 +129,7 @@ def build_coupling(coupling, agents, condensed):
         IEx = np.kron(np.eye(N), Ex_s)
         F_list.append(IEx @ ca.Ahat[rows])
         E_list.append(IEx @ ca.Bhat[rows] + np.kron(np.eye(N), Eu_s))
-    b = np.tile(coupling.bbar, condensed[0].N)
+    b = np.tile(bbar, condensed[0].N)
     return E_list, F_list, b
 
 
@@ -203,19 +204,17 @@ class GlobalQP:
         return np.concatenate([ui[: ca.m] for ca, ui in
                                zip(self.agents, self.split_inputs(u))])
 
-    def state_image(self, x_parts):
-        """sum_i F_i x_i over the stacked horizon rows."""
-        agg = np.zeros(self.n_dual)
+    def state_terms(self, x):
+        """The parts of the inner problems fixed by a measured state x: each
+        agent's G_i x_i and r_i = c_i - D_i x_i, and sum_i F_i x_i over the
+        stacked horizon rows."""
+        x_parts = self.split_states(x)
+        Gx = [ca.G @ xi for ca, xi in zip(self.agents, x_parts)]
+        r = [ca.c - ca.D @ xi for ca, xi in zip(self.agents, x_parts)]
+        Fx = np.zeros(self.n_dual)
         for ca, xi in zip(self.agents, x_parts):
-            agg += ca.F @ xi
-        return agg
-
-    def coupling_image(self, x_parts, u_parts):
-        """sum_i F_i x_i + E_i u_i over the stacked horizon rows."""
-        agg = np.zeros(self.n_dual)
-        for ca, xi, ui in zip(self.agents, x_parts, u_parts):
-            agg += ca.F @ xi + ca.E @ ui
-        return agg
+            Fx += ca.F @ xi
+        return Gx, r, Fx
 
     def stage_violation(self, x, u_first):
         """Positive part of the stage coupling rows at a realized (x, u)."""
@@ -232,13 +231,11 @@ class GlobalQP:
 def condense_scenario(scenario):
     """Condense every agent and attach the stacked coupling blocks."""
     N = scenario.horizon
-    condensed = []
-    for i, agent in enumerate(scenario.agents):
-        ca = condense_agent(agent, N)
-        ca.index = i
-        condensed.append(ca)
+    condensed = [condense_agent(agent, N, index=i)
+                 for i, agent in enumerate(scenario.agents)]
+    bbar = scenario.coupling.bbar
     stage_Eu, stage_Ex = scenario.coupling.stage_matrices(scenario.agents)
-    E_list, F_list, b = build_coupling(scenario.coupling, scenario.agents, condensed)
+    E_list, F_list, b = build_coupling(stage_Eu, stage_Ex, bbar, condensed)
     for ca, E, F in zip(condensed, E_list, F_list):
         ca.E, ca.F = E, F
     return GlobalQP(
@@ -248,7 +245,7 @@ def condense_scenario(scenario):
         N=N,
         stage_Eu=stage_Eu,
         stage_Ex=stage_Ex,
-        bbar=scenario.coupling.bbar,
+        bbar=bbar,
         digest=scenario.digest(),
     )
 

@@ -5,6 +5,7 @@ definiteness, terminal decrease) backed by a PBH test and a Riccati solver.
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from .errors import DimensionError, NoConvergence, NotEquilibrium, ParseError
 DARE_RESIDUAL_TOL = 1e-10
 PBH_TOL = 1e-9
 EQUILIBRIUM_TOL = 1e-9
+TERMINAL_TOL = 1e-8     # largest eigenvalue allowed in the decrease residual
 
 
 def _matrix(obj, what, rows=None, cols=None):
@@ -45,6 +47,14 @@ def _vector(obj, what, size=None):
     if size is not None and v.size != size:
         raise DimensionError(f"{what}: expected length {size}, got {v.size}")
     return v
+
+
+def _count(obj, what):
+    try:
+        return int(obj)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"scenario: {what} is not a finite integer ({obj!r})") \
+            from exc
 
 
 @dataclass
@@ -386,8 +396,8 @@ class Scenario:
             raise ValueError("scenario has no agents")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if self.sim_steps < 1:
@@ -409,10 +419,6 @@ class Scenario:
             [a.target if a.target is not None else np.zeros(a.n) for a in self.agents]
         )
 
-    def state_offsets(self):
-        off = np.cumsum([0] + [a.n for a in self.agents])
-        return off
-
     def digest(self):
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
@@ -431,7 +437,7 @@ class Scenario:
             raise ValueError("scenario has no agents")
         coupling = CouplingSpec.from_list(d.get("coupling", []), agents)
         try:
-            horizon = int(d["horizon"])
+            horizon = _count(d["horizon"], "horizon")
             epsilon = float(d["epsilon"])
         except KeyError as exc:
             raise ParseError(f"scenario: missing {exc}") from exc
@@ -440,9 +446,9 @@ class Scenario:
             coupling=coupling,
             horizon=horizon,
             epsilon=epsilon,
-            iterations=int(d.get("iterations", 1)),
-            sim_steps=int(d.get("sim_steps", 50)),
-            seed=int(d.get("seed", 0)),
+            iterations=_count(d.get("iterations", 1), "iterations"),
+            sim_steps=_count(d.get("sim_steps", 50), "sim_steps"),
+            seed=_count(d.get("seed", 0), "seed"),
             name=str(d.get("name", "scenario")),
         )
 
@@ -525,9 +531,6 @@ class ValidationReport:
     def passed(self):
         return all(c.passed for c in self.checks)
 
-    def failures(self):
-        return [c for c in self.checks if not c.passed]
-
     def by_item(self, agent, item):
         for c in self.checks:
             if c.agent == agent and c.item == item:
@@ -539,7 +542,7 @@ def _min_eig(M):
     return float(np.linalg.eigvalsh(0.5 * (M + M.T)).min())
 
 
-def validate_assumptions(scenario, terminal_tol=1e-8):
+def validate_assumptions(scenario):
     """Check the standing assumptions agent by agent.
 
     Items per agent: 'stabilizable', 'origin_interior', 'weights_pd',
@@ -590,7 +593,7 @@ def validate_assumptions(scenario, terminal_tol=1e-8):
             top = float(np.linalg.eigvalsh(0.5 * (resid + resid.T)).max())
             report.checks.append(
                 AssumptionCheck(
-                    idx, "terminal_decrease", top <= terminal_tol,
+                    idx, "terminal_decrease", top <= TERMINAL_TOL,
                     f"max eig of decrease residual = {top:.3e}",
                 )
             )
@@ -660,12 +663,4 @@ def shift_to_target(scenario):
         shift=(np.concatenate(xbars), np.concatenate(ubars)),
     )
     return shifted
-
-
-def unshift_states(scenario, X):
-    """Map states of a shifted scenario back to original coordinates."""
-    if scenario.shift is None:
-        return np.asarray(X, dtype=float)
-    xbar, _ = scenario.shift
-    return np.asarray(X, dtype=float) + xbar
 

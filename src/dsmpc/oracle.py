@@ -11,8 +11,8 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from .condense import condense_scenario, eval_condensed_cost
+from .coordinator import inner_solves
 from .errors import NoConvergence
-from .localqp import recover_input
 from .model import shift_to_target
 from .plant import plant_step
 from .qpcore import DenseQP
@@ -46,10 +46,8 @@ class OracleSolution:
 
 
 def _stacked(g, x):
-    x_parts = g.split_states(x)
-    q = np.concatenate([ca.G @ xi for ca, xi in zip(g.agents, x_parts)])
-    r_loc = np.concatenate([ca.c - ca.D @ xi for ca, xi in zip(g.agents, x_parts)])
-    return q, r_loc, g.state_image(x_parts)
+    Gx, r, Fx = g.state_terms(x)
+    return np.concatenate(Gx), np.concatenate(r), Fx
 
 
 def _reg_kkt_residual(H_all, q, C_loc, r_loc, E_all, b_eff, u, nu, lam, eps):
@@ -167,8 +165,8 @@ def feedback_laws(g, x, eps):
 def recovered_law(g, x, lam):
     """First-stage inputs recovered from the coupling price lam through the
     agents' inner problems."""
-    return np.concatenate([recover_input(ca, xi, lam)
-                           for ca, xi in zip(g.agents, g.split_states(x))])
+    return np.concatenate([sol.z[: ca.m] for ca, sol in
+                           zip(g.agents, inner_solves(g, g.state_terms(x), lam))])
 
 
 def simulate_optimal_closed_loop(scenario, steps=None, eps=0.0):

@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .condense import condense_scenario
-from .coordinator import default_step, lipschitz_constant, run_ada
+from .coordinator import (default_step, inner_solves, lipschitz_constant,
+                          run_ada)
 from .errors import DimensionError, Infeasible, UnknownKind
-from .localqp import solve_local
 from .model import shift_to_target
 
 
@@ -208,13 +208,11 @@ def simulate_closed_loop(scenario, ell=None, steps=None, dist=None, alpha=None):
         try:
             run = run_ada(lam, x, ell, g, eps, alpha=alpha, warm=warm)
             lam = run.lam
-            warm = [solve_local(ca, xi, lam, warm=w) for ca, xi, w in
-                    zip(g.agents, g.split_states(x),
-                        run.warm or [None] * len(g.agents))]
+            warm = inner_solves(g, g.state_terms(x), lam, run.warm)
         except Infeasible:
             infeasible_at = t
             break
-        u_first = np.concatenate([sol.u[: ca.m]
+        u_first = np.concatenate([sol.z[: ca.m]
                                   for ca, sol in zip(g.agents, warm)])
         viols[t] = g.stage_violation(x, u_first)
         d_t = d_seq[t]

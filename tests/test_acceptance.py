@@ -12,10 +12,9 @@ from dsmpc.condense import condense_scenario, eval_condensed_cost
 from dsmpc.coordinator import (contraction_factor, default_step, dual_cost,
                                lipschitz_constant, run_ada)
 from dsmpc.errors import Infeasible
-from dsmpc.localqp import recover_input
 from dsmpc.model import Scenario, shift_to_target
-from dsmpc.oracle import (simulate_optimal_closed_loop, solve_centralized,
-                          value_function)
+from dsmpc.oracle import (recovered_law, simulate_optimal_closed_loop,
+                          solve_centralized, value_function)
 from dsmpc.plant import make_disturbance, simulate_closed_loop
 
 from conftest import make_axis_agent, make_pair_scenario
@@ -128,14 +127,8 @@ class TestAcceptance:
             run = run_ada(None, x, 10_000, g, eps)
             rel = np.linalg.norm(run.lam - star.lam) / (1.0 + np.linalg.norm(star.lam))
             worst_dual = max(worst_dual, float(rel))
-            q_ell = np.concatenate([
-                recover_input(ca, xi, run.lam)
-                for ca, xi in zip(g.agents, g.split_states(x))
-            ])
-            kappa_eps = np.concatenate([
-                recover_input(ca, xi, star.lam)
-                for ca, xi in zip(g.agents, g.split_states(x))
-            ])
+            q_ell = recovered_law(g, x, run.lam)
+            kappa_eps = recovered_law(g, x, star.lam)
             rel_u = np.linalg.norm(q_ell - kappa_eps) / (1.0 + np.linalg.norm(kappa_eps))
             worst_input = max(worst_input, float(rel_u))
         ok = worst_dual <= 1e-5 and worst_input <= 1e-5

@@ -50,6 +50,24 @@ class TestExitCodes:
         code = run(["check", "--scenario", str(bad), "--out", str(tmp_path)])
         assert code == 3
 
+    def test_non_finite_header_scenario_error(self, tmp_path, formation3_path):
+        for key, value in (("epsilon", float("nan")), ("epsilon", float("inf")),
+                           ("horizon", float("inf")), ("seed", float("inf"))):
+            doc = json.loads(open(formation3_path).read())
+            doc[key] = value
+            bad = tmp_path / f"{key}.json"
+            bad.write_text(json.dumps(doc))
+            for cmd in (["check"], ["simulate", "--steps", "2"]):
+                code = run(cmd + ["--scenario", str(bad), "--out", str(tmp_path)])
+                assert code == 3, (key, value, cmd[0])
+
+    def test_bad_step_size_scenario_error(self, tmp_path, formation3_path):
+        for alpha in ("-1", "0", "nan", "inf"):
+            code = run(["simulate", "--scenario", formation3_path,
+                        "--alpha", alpha, "--steps", "5",
+                        "--out", str(tmp_path)])
+            assert code == 3, alpha
+
     def test_solver_failure_reported(self, tmp_path, formation3_path):
         p = tight_scenario(formation3_path, tmp_path)
         code = run(["solve", "--scenario", str(p), "--iters", "3",

@@ -104,7 +104,7 @@ class TestBuildCoupling:
         agents = [make_axis_agent([0, 0])]
         spec = CouplingSpec.from_list([], agents)
         cas = [condense_agent(agents[0], 3)]
-        E, F, b = build_coupling(spec, agents, cas)
+        E, F, b = build_coupling(*spec.stage_matrices(agents), spec.bbar, cas)
         assert E[0].shape == (0, 3) and F[0].shape == (0, 2) and b.size == 0
 
     def test_stacked_rows_match_stagewise_rollout(self, formation3):
@@ -116,7 +116,8 @@ class TestBuildCoupling:
         for _ in range(10):
             u = rng.normal(scale=0.5, size=sum(ca.nu for ca in g.agents))
             x = rng.normal(scale=0.5, size=g.n_total)
-            stacked = g.coupling_image(g.split_states(x), g.split_inputs(u)) - g.b
+            stacked = sum(ca.F @ xi + ca.E @ ui for ca, xi, ui in zip(
+                g.agents, g.split_states(x), g.split_inputs(u))) - g.b
             staged = stage_coupling_residuals(shifted, u, x)
             assert np.allclose(stacked.reshape(g.N, g.p_stage), staged, atol=1e-9)
 

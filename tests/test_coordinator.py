@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from dsmpc.condense import CondensedAgent, GlobalQP
-from dsmpc.coordinator import (contraction_factor, default_step,
-                               diagnostics_csv, dual_cost, lipschitz_constant,
-                               min_iterations, run_ada)
+from dsmpc.coordinator import (contraction_factor, default_step, dual_cost,
+                               lipschitz_constant, min_iterations, run_ada)
 from dsmpc.errors import DomainError
 from dsmpc.oracle import solve_centralized
 
@@ -68,7 +67,7 @@ class TestAdaStep:
     def test_theta_recursion_first_step(self, pair_global):
         s, g = pair_global
         out = run_ada(None, np.zeros(2), 1, g, s.epsilon, alpha=0.2)
-        assert out.state.theta == pytest.approx((1 + math.sqrt(5)) / 2)
+        assert out.theta == pytest.approx((1 + math.sqrt(5)) / 2)
 
     def test_projection_clamps_exactly(self, pair_global):
         s, g = pair_global
@@ -147,14 +146,11 @@ class TestRunAda:
         cold = dual_cost(run.mu, x, g, s.epsilon)
         assert run.dual_costs[-1] == pytest.approx(cold, rel=1e-12)
 
-    def test_diagnostics_csv_shape(self, pair_global):
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_rejects_step_not_finite_positive(self, pair_global, alpha):
         s, g = pair_global
-        run = run_ada(None, s.x0_stacked(), 5, g, s.epsilon, record_cost=True)
-        text = diagnostics_csv(run)
-        lines = text.strip().split("\n")
-        assert lines[0].startswith("#")
-        assert lines[1] == "j,dual_cost,agg_residual,mu_step"
-        assert len(lines) == 2 + 5
+        with pytest.raises(ValueError):
+            run_ada(None, s.x0_stacked(), 3, g, s.epsilon, alpha=alpha)
 
 
 class TestDualCost:

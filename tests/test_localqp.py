@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from dsmpc.condense import condense_agent
+from dsmpc.condense import GlobalQP, condense_agent
+from dsmpc.coordinator import inner_solves
 from dsmpc.errors import Infeasible, MaxIters
-from dsmpc.localqp import recover_input, solve_local
 from dsmpc.model import AgentModel, Polytope
+from dsmpc.oracle import recovered_law
 from dsmpc.qpcore import DenseQP
 
 from conftest import make_axis_agent
@@ -28,24 +29,43 @@ def boxed_scalar_agent(lo=-10.0, hi=10.0, coupling_rows=1):
     return ca
 
 
+def one_agent(ca):
+    """A GlobalQP holding the single condensed agent `ca`."""
+    p = ca.E.shape[0]
+    return GlobalQP(agents=[ca], b=np.zeros(p), p_stage=p, N=1,
+                    stage_Eu=[], stage_Ex=[], bbar=np.zeros(p))
+
+
+def solve_one(ca, x, lam, warm=None):
+    """Agent ca's inner solve at (x, lam) through coordinator.inner_solves."""
+    g = one_agent(ca)
+    return inner_solves(g, g.state_terms(x), lam,
+                        None if warm is None else [warm])[0]
+
+
+def first_input(ca, x, lam):
+    """Agent ca's first-stage input through oracle.recovered_law."""
+    return recovered_law(one_agent(ca), x, lam)
+
+
 class TestSolveLocal:
     def test_origin_unconstrained_minimum(self):
         ca = boxed_scalar_agent()
-        sol = solve_local(ca, np.zeros(1), np.zeros(1))
-        assert np.allclose(sol.u, 0.0)
+        sol = solve_one(ca, np.zeros(1), np.zeros(1))
+        assert np.allclose(sol.z, 0.0)
         assert sol.kkt_residual <= 1e-9
 
     def test_closed_form_inactive_constraint(self):
         # H=2, G=1, E=1: minimizer of 0.5 H u^2 + (Gx + lam)u is -(Gx+lam)/H
         ca = boxed_scalar_agent()
-        sol = solve_local(ca, np.zeros(1), np.ones(1))
-        assert sol.u[0] == pytest.approx(-0.5, abs=1e-10)
-        assert sol.active_set == ()
+        sol = solve_one(ca, np.zeros(1), np.ones(1))
+        assert sol.z[0] == pytest.approx(-0.5, abs=1e-10)
+        assert sol.active == ()
 
     def test_active_box(self):
         ca = boxed_scalar_agent(lo=-0.2, hi=0.2)
-        sol = solve_local(ca, np.zeros(1), 3.0 * np.ones(1))
-        assert sol.u[0] == pytest.approx(-0.2, abs=1e-10)
+        sol = solve_one(ca, np.zeros(1), 3.0 * np.ones(1))
+        assert sol.z[0] == pytest.approx(-0.2, abs=1e-10)
         assert sol.kkt_residual <= 1e-9
 
     def test_empty_polytope_raises(self):
@@ -62,7 +82,7 @@ class TestSolveLocal:
         ca.E = np.ones((1, 1))
         ca.F = np.zeros((1, 1))
         with pytest.raises(Infeasible):
-            solve_local(ca, np.zeros(1), np.zeros(1))
+            solve_one(ca, np.zeros(1), np.zeros(1))
 
     def test_feasibility_and_kkt_contract(self, formation3_global):
         shifted, g = formation3_global
@@ -71,9 +91,9 @@ class TestSolveLocal:
         for ca, xi in zip(g.agents, x_parts):
             for _ in range(5):
                 lam = np.abs(rng.normal(scale=2.0, size=g.n_dual))
-                sol = solve_local(ca, xi, lam)
+                sol = solve_one(ca, xi, lam)
                 assert sol.kkt_residual <= 1e-9
-                assert np.all(ca.D @ xi + ca.C @ sol.u <= ca.c + 1e-8)
+                assert np.all(ca.D @ xi + ca.C @ sol.z <= ca.c + 1e-8)
 
     def test_probing_cannot_beat_solution(self, formation3_global):
         shifted, g = formation3_global
@@ -81,10 +101,10 @@ class TestSolveLocal:
         ca = g.agents[0]
         xi = g.split_states(shifted.x0_stacked())[0]
         lam = np.abs(rng.normal(scale=1.0, size=g.n_dual))
-        sol = solve_local(ca, xi, lam)
+        sol = solve_one(ca, xi, lam)
         margin = probe_qp_optimality(
             ca.H, ca.G @ xi + ca.E.T @ lam, ca.C, ca.c - ca.D @ xi,
-            sol.u, rng, trials=150,
+            sol.z, rng, trials=150,
         )
         assert margin >= -1e-8
 
@@ -93,19 +113,19 @@ class TestSolveLocal:
         ca = boxed_scalar_agent(lo=-0.3, hi=0.4)
         x = np.array([0.5])
         lam = np.array([2.0])
-        sol = solve_local(ca, x, lam)
-        grad = ca.H @ sol.u + ca.G @ x + ca.E.T @ lam
+        sol = solve_one(ca, x, lam)
+        grad = ca.H @ sol.z + ca.G @ x + ca.E.T @ lam
         for v in (np.array([-0.3]), np.array([0.4])):
-            assert grad @ (v - sol.u) >= -1e-8
+            assert grad @ (v - sol.z) >= -1e-8
 
     def test_determinism(self, formation3_global):
         shifted, g = formation3_global
         ca = g.agents[1]
         xi = g.split_states(shifted.x0_stacked())[1]
         lam = np.linspace(0.0, 1.0, g.n_dual)
-        s1 = solve_local(ca, xi, lam)
-        s2 = solve_local(ca, xi, lam)
-        assert np.array_equal(s1.u, s2.u)
+        s1 = solve_one(ca, xi, lam)
+        s2 = solve_one(ca, xi, lam)
+        assert np.array_equal(s1.z, s2.z)
         assert np.array_equal(s1.nu, s2.nu)
 
     def test_warm_start_matches_cold(self, formation3_global):
@@ -114,10 +134,10 @@ class TestSolveLocal:
         xi = g.split_states(shifted.x0_stacked())[0]
         lam_a = np.full(g.n_dual, 0.1)
         lam_b = np.full(g.n_dual, 0.11)
-        warm = solve_local(ca, xi, lam_a)
-        hot = solve_local(ca, xi, lam_b, warm=warm)
-        cold = solve_local(ca, xi, lam_b)
-        assert np.allclose(hot.u, cold.u, atol=1e-8)
+        warm = solve_one(ca, xi, lam_a)
+        hot = solve_one(ca, xi, lam_b, warm=warm)
+        cold = solve_one(ca, xi, lam_b)
+        assert np.allclose(hot.z, cold.z, atol=1e-8)
         assert hot.kkt_residual <= 1e-9
 
 
@@ -125,7 +145,7 @@ class TestRecoverInput:
     def test_zero_at_origin(self, formation3_global):
         shifted, g = formation3_global
         ca = g.agents[0]
-        u0 = recover_input(ca, np.zeros(ca.n), np.zeros(g.n_dual))
+        u0 = first_input(ca, np.zeros(ca.n), np.zeros(g.n_dual))
         assert np.allclose(u0, 0.0)
 
     def test_first_block_of_unconstrained_solve(self):
@@ -135,7 +155,7 @@ class TestRecoverInput:
         ca.F = np.zeros((0, 2))
         x = np.array([1.0, -0.5])
         full = np.linalg.solve(ca.H, -(ca.G @ x))
-        u0 = recover_input(ca, x, np.zeros(0))
+        u0 = first_input(ca, x, np.zeros(0))
         assert u0.shape == (1,)
         assert u0[0] == pytest.approx(full[0], abs=1e-9)
 
@@ -155,8 +175,8 @@ class TestRecoverInput:
             d = np.linalg.norm(l1 - l2)
             if d < 1e-9:
                 continue
-            q1 = recover_input(ca, xi, l1)
-            q2 = recover_input(ca, xi, l2)
+            q1 = first_input(ca, xi, l1)
+            q2 = first_input(ca, xi, l2)
             worst = max(worst, np.linalg.norm(q1 - q2) / d)
         assert worst <= bound + 1e-9
 

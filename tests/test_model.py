@@ -8,7 +8,7 @@ from dsmpc.errors import (DimensionError, NoConvergence, NotEquilibrium,
                           ParseError)
 from dsmpc.model import (Polytope, Scenario, _matrix, _vector, load_scenario,
                          save_scenario, shift_to_target, solve_dare,
-                         unshift_states, validate_assumptions)
+                         validate_assumptions)
 
 from oracles import controllable, golden_ratio
 
@@ -120,6 +120,21 @@ class TestNonFinite:
         with pytest.raises(ParseError, match=r": A: non-finite"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("key,value", [
+        ("epsilon", float("nan")), ("epsilon", float("inf")),
+        ("horizon", float("inf")), ("iterations", float("inf")),
+        ("sim_steps", float("inf")), ("seed", float("inf")),
+        ("seed", float("nan")),
+    ])
+    def test_non_finite_header_value_rejected(self, tmp_path, formation3_path,
+                                              key, value):
+        doc = json.loads(open(formation3_path).read())
+        doc[key] = value
+        path = tmp_path / "header.json"
+        path.write_text(json.dumps(doc))  # JSON literals NaN / Infinity
+        with pytest.raises(ValueError, match=key):
+            load_scenario(path)
+
 
 class TestValidateAssumptions:
     def test_formation3_passes(self, formation3):
@@ -195,14 +210,6 @@ class TestShiftToTarget:
         assert max(bounds) == pytest.approx(1.0 + abs(diff))
         # origin strictly feasible for the shifted coupling
         assert all(r.b > 0 for r in shifted.coupling.rows)
-
-    def test_roundtrip_on_trajectories(self, formation3):
-        shifted = shift_to_target(formation3)
-        rng = np.random.default_rng(3)
-        X = rng.normal(size=(7, formation3.n_total))
-        xbar, _ = shifted.shift
-        back = unshift_states(shifted, X - xbar)
-        assert np.max(np.abs(back - X)) <= 1e-12
 
     def test_moving_target_rejected(self):
         s = Scenario.from_dict({
