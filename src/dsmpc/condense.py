@@ -137,11 +137,14 @@ def build_coupling(stage_Eu, stage_Ex, bbar, condensed):
 class GlobalQP:
     """All condensed agents plus the stacked coupling data, in agent order.
 
-    `coupling_norms` holds ||E_i H_i^{-1} E_i'|| per agent, the top
-    eigenvalue of the nu x nu Gram matrix W W' with W = L^{-1} E_i' on the
-    agent's Cholesky factor (W' W has the same nonzero eigenvalues).
-    `oracle_ws` holds the oracle's stacked blocks and its DenseQP per eps,
-    built on first use.
+    Built at construction from the agents' blocks: `coupling_norms` holds
+    ||E_i H_i^{-1} E_i'|| per agent, the top eigenvalue of the nu x nu Gram
+    matrix W W' with W = L^{-1} E_i' on the agent's Cholesky factor (W' W has
+    the same nonzero eigenvalues); `E_all` = [E_1 ... E_M]; `groups` holds,
+    per inner-problem shape (nu, k), the agent indices, their (len, nu)
+    positions in the stacked inputs and (len, k) in the stacked local rows,
+    and the stacked H_i, C_i and H_i^-1.  `oracle_ws` holds the oracle's
+    stacked blocks and its DenseQP per eps, built on first use.
     """
 
     agents: list
@@ -153,6 +156,8 @@ class GlobalQP:
     bbar: np.ndarray
     digest: str = ""
     coupling_norms: list = field(init=False, repr=False, compare=False)
+    E_all: np.ndarray = field(init=False, repr=False, compare=False)
+    groups: list = field(init=False, repr=False, compare=False)
     oracle_ws: object = field(default=None, init=False, repr=False,
                               compare=False)
 
@@ -161,6 +166,18 @@ class GlobalQP:
         for ca in self.agents:
             W = solve_triangular(ca.qp.chol, ca.E.T, lower=True)
             self.coupling_norms.append(float(np.linalg.eigvalsh(W @ W.T)[-1]))
+        self.E_all = np.hstack([ca.E for ca in self.agents])
+        u_off = self.input_offsets()
+        r_off = np.cumsum([0] + [ca.qp.k for ca in self.agents])
+        shapes = {}
+        for i, ca in enumerate(self.agents):
+            shapes.setdefault((ca.nu, ca.qp.k), []).append(i)
+        self.groups = [
+            (idx, u_off[idx][:, None] + np.arange(nu),
+             r_off[idx][:, None] + np.arange(k),
+             *(np.stack([getattr(self.agents[i].qp, a) for i in idx])
+               for a in ("P", "A", "Pinv")))
+            for (nu, k), idx in shapes.items()]
 
     @property
     def n_total(self):
@@ -205,12 +222,13 @@ class GlobalQP:
                                zip(self.agents, self.split_inputs(u))])
 
     def state_terms(self, x):
-        """The parts of the inner problems fixed by a measured state x: each
-        agent's G_i x_i and r_i = c_i - D_i x_i, and sum_i F_i x_i over the
-        stacked horizon rows."""
+        """The parts of the inner problems fixed by a measured state x: the
+        agents' G_i x_i stacked like the inputs, their r_i = c_i - D_i x_i
+        stacked in agent order, and sum_i F_i x_i over the stacked horizon
+        rows."""
         x_parts = self.split_states(x)
-        Gx = [ca.G @ xi for ca, xi in zip(self.agents, x_parts)]
-        r = [ca.c - ca.D @ xi for ca, xi in zip(self.agents, x_parts)]
+        Gx = np.concatenate([ca.G @ xi for ca, xi in zip(self.agents, x_parts)])
+        r = np.concatenate([ca.c - ca.D @ xi for ca, xi in zip(self.agents, x_parts)])
         Fx = np.zeros(self.n_dual)
         for ca, xi in zip(self.agents, x_parts):
             Fx += ca.F @ xi

@@ -9,7 +9,10 @@ whose minimizer's first stage is the input agent i applies.  One round:
 every agent solves its inner QP at the broadcast price lambda_j, the
 coordinator gathers the aggregate coupling image sum_i F_i x_i + E_i u_i,
 takes a projected gradient step with momentum extrapolation on the
-regularized dual, and broadcasts the new price.  The regularized dual cost
+regularized dual, and broadcasts the new price.  A round is batched: the
+broadcast is one product Gx + E_all' lambda, the trivial test runs once per
+agent shape, only the agents it refuses go to `DenseQP.constrained`, and the
+gather is one product E_all u.  The regularized dual cost
 evaluated here is
 
     psi_eps(lam, x) = sum_i (h_i(., x_i))*(-E_i' lam) + (eps/2) ||lam||^2
@@ -25,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .qpcore import QPResult, unconstrained
 
 
 def lipschitz_constant(g, eps):
@@ -50,12 +54,17 @@ def inner_solves(g, terms, lam, warm=None):
     (the state has left the feasible parameter set) and MaxIters on a
     stall."""
     Gx, r, _ = terms
-    lam = np.asarray(lam, dtype=float)
-    out = []
-    for i, ca in enumerate(g.agents):
-        q = Gx[i] if lam.size == 0 else Gx[i] + ca.E.T @ lam
-        out.append(ca.qp.solve(q, r[i], warm_active=None if warm is None
-                               else warm[i].active))
+    q = Gx + g.E_all.T @ np.asarray(lam, dtype=float)
+    out = [None] * len(g.agents)
+    for idx, u_rows, r_rows, P, A, Pinv in g.groups:
+        qs, rs = q[u_rows], r[r_rows]
+        z = -(Pinv @ qs[..., None])[..., 0]
+        res, trivial = unconstrained(P, A, z, qs, rs)
+        nu = np.zeros(rs.shape)
+        for j, i in enumerate(idx):
+            out[i] = QPResult(z[j], nu[j], (), float(res[j]), 0) if trivial[j] \
+                else g.agents[i].qp.constrained(
+                    qs[j], rs[j], None if warm is None else warm[i].active)
     return out
 
 
@@ -63,7 +72,8 @@ def inner_solves(g, terms, lam, warm=None):
 class AdaRun:
     """Result of an ell-round run: final iterates plus per-round diagnostics.
     mu is the projected (feasible) iterate; lam may leave the nonnegative
-    orthant through extrapolation; theta is the momentum weight."""
+    orthant through extrapolation; theta is the momentum weight; terms are
+    the state terms `g.state_terms(x)` the rounds used."""
 
     lam: np.ndarray
     mu: np.ndarray
@@ -73,6 +83,7 @@ class AdaRun:
     dual_costs: np.ndarray | None
     warm: list
     iters: int
+    terms: tuple
 
 
 def run_ada(lam_init, x, iters, g, eps, alpha=None, record_cost=False,
@@ -103,9 +114,7 @@ def run_ada(lam_init, x, iters, g, eps, alpha=None, record_cost=False,
     solves = warm
     for j in range(iters):
         solves = inner_solves(g, terms, lam, solves)
-        agg = terms[2].copy()
-        for ca, sol in zip(g.agents, solves):
-            agg += ca.E @ sol.z
+        agg = terms[2] + g.E_all @ np.concatenate([sol.z for sol in solves])
         mu_next = np.maximum(lam + alpha * (agg - g.b - eps * lam), 0.0)
         theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
         lam = mu_next + ((theta - 1.0) / theta_next) * (mu_next - mu)
@@ -115,7 +124,8 @@ def run_ada(lam_init, x, iters, g, eps, alpha=None, record_cost=False,
         if record_cost:
             costs[j] = dual_cost(mu, x, g, eps, warm=solves)
     return AdaRun(lam=lam, mu=mu, theta=theta, agg_residuals=agg_res,
-                  mu_steps=mu_steps, dual_costs=costs, warm=solves, iters=iters)
+                  mu_steps=mu_steps, dual_costs=costs, warm=solves, iters=iters,
+                  terms=terms)
 
 
 def dual_cost(lam, x, g, eps, warm=None):
@@ -128,13 +138,12 @@ def dual_cost(lam, x, g, eps, warm=None):
         raise DomainError("dual cost requires a componentwise nonnegative price")
     lam = np.maximum(lam, 0.0)
     terms = g.state_terms(x)
-    total = 0.5 * eps * float(lam @ lam)
-    for ca, Gx, xi, sol in zip(g.agents, terms[0], g.split_states(x),
-                               inner_solves(g, terms, lam, warm)):
-        lin = Gx if lam.size == 0 else Gx + ca.E.T @ lam
-        u = sol.z
-        total -= float(0.5 * (u @ ca.H @ u) + lin @ u + 0.5 * (xi @ ca.W @ xi))
-    total += float(lam @ (g.b - terms[2]))
+    Gx, _, Fx = terms
+    u = np.concatenate([sol.z for sol in inner_solves(g, terms, lam, warm)])
+    total = 0.5 * eps * float(lam @ lam) + float(lam @ (g.b - Fx)) \
+        - float((Gx + g.E_all.T @ lam) @ u)
+    for ca, xi, ui in zip(g.agents, g.split_states(x), g.split_inputs(u)):
+        total -= float(0.5 * (ui @ ca.H @ ui) + 0.5 * (xi @ ca.W @ xi))
     return float(total)
 
 

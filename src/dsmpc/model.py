@@ -49,12 +49,12 @@ def _vector(obj, what, size=None):
     return v
 
 
-def _count(obj, what):
+def _scalar(obj, what, kind=int):
     try:
-        return int(obj)
+        return kind(obj)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"scenario: {what} is not a finite integer ({obj!r})") \
-            from exc
+        raise ParseError(f"scenario: {what} is not a finite {kind.__name__} "
+                         f"({obj!r})") from exc
 
 
 @dataclass
@@ -437,8 +437,8 @@ class Scenario:
             raise ValueError("scenario has no agents")
         coupling = CouplingSpec.from_list(d.get("coupling", []), agents)
         try:
-            horizon = _count(d["horizon"], "horizon")
-            epsilon = float(d["epsilon"])
+            horizon = _scalar(d["horizon"], "horizon")
+            epsilon = _scalar(d["epsilon"], "epsilon", float)
         except KeyError as exc:
             raise ParseError(f"scenario: missing {exc}") from exc
         return cls(
@@ -446,9 +446,9 @@ class Scenario:
             coupling=coupling,
             horizon=horizon,
             epsilon=epsilon,
-            iterations=_count(d.get("iterations", 1), "iterations"),
-            sim_steps=_count(d.get("sim_steps", 50), "sim_steps"),
-            seed=_count(d.get("seed", 0), "seed"),
+            iterations=_scalar(d.get("iterations", 1), "iterations"),
+            sim_steps=_scalar(d.get("sim_steps", 50), "sim_steps"),
+            seed=_scalar(d.get("seed", 0), "seed"),
             name=str(d.get("name", "scenario")),
         )
 

@@ -45,11 +45,6 @@ class OracleSolution:
         }
 
 
-def _stacked(g, x):
-    Gx, r, Fx = g.state_terms(x)
-    return np.concatenate(Gx), np.concatenate(r), Fx
-
-
 def _reg_kkt_residual(H_all, q, C_loc, r_loc, E_all, b_eff, u, nu, lam, eps):
     """KKT residual of the regularized problem with the relaxation variable
     eliminated (coupling rows read E u <= b_eff + eps * lam)."""
@@ -117,7 +112,7 @@ def solve_centralized(g, x, eps):
     if g.oracle_ws is None:
         g.oracle_ws = _Workspace(g)
     ws = g.oracle_ws
-    q, r_loc, Fx = _stacked(g, x)
+    q, r_loc, Fx = g.state_terms(x)
     b_eff = g.b - Fx
     r = np.concatenate([r_loc, b_eff])
     k_loc, n_u = ws.C_loc.shape[0], ws.H_all.shape[0]

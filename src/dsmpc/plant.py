@@ -208,7 +208,7 @@ def simulate_closed_loop(scenario, ell=None, steps=None, dist=None, alpha=None):
         try:
             run = run_ada(lam, x, ell, g, eps, alpha=alpha, warm=warm)
             lam = run.lam
-            warm = inner_solves(g, g.state_terms(x), lam, run.warm)
+            warm = inner_solves(g, run.terms, lam, run.warm)
         except Infeasible:
             infeasible_at = t
             break

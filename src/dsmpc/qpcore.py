@@ -2,11 +2,12 @@
 
     min_z  0.5 z' P z + q' z   s.t.   A z <= r,      P positive definite.
 
-P = L L' and V = L^-1 A' are computed once.  One method solves every
-instance: the Goldfarb-Idnani dual active-set method (Math. Prog. 27, 1983)
-on the cached factor, which solves only the Schur systems of the active rows
-and forms no KKT matrix.  A solve tries, in order, the unconstrained
-minimizer; the affine law of the caller's warm active set a, on which
+P = L L' and V = L^-1 A' are computed once.  The one trivial test,
+`unconstrained`, takes one QP or a stack of one shape (the coordinator's
+batched round); a QP it refuses goes to `DenseQP.constrained`, the
+Goldfarb-Idnani dual active-set method (Math. Prog. 27, 1983) on the cached
+factor, which solves only the Schur systems of the active rows.  That tries,
+in order, the affine law of the caller's warm active set a, on which
 (z, w) = M_a (q, r_a) (the law of explicit MPC; the law of the last warm set
 is kept); the active-set polish from the warm set; and Goldfarb-Idnani from
 the empty set.  A solution is accepted only when its KKT residual
@@ -15,6 +16,7 @@ certificate is independent of the path.  Emptiness of the constraint set is
 certified with a feasibility LP before Infeasible is raised."""
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dpotrs, dpstrf, dtrtrs
@@ -23,7 +25,6 @@ from scipy.optimize import linprog
 from .errors import Infeasible, MaxIters
 
 TOL = 1e-9              # KKT residual accepted as a solution
-FEAS_TOL = 1e-8         # primal slack still counted as feasible
 POLISH_ROUNDS = 40      # active-set refinements from a warm set
 PIVOT_TOL = 1e-10       # relative Schur pivot below which a row is dependent
 
@@ -35,6 +36,16 @@ class QPResult:
     active: tuple
     kkt_residual: float
     iters: int          # Goldfarb-Idnani rounds of a cold start, else 0
+
+
+def unconstrained(P, A, z, q, r):
+    """The trivial test of z = -P^-1 q on one QP or a stack (leading axis):
+    the KKT residual with nu = 0, max(||P z + q||_inf, -min(r - A z)), and
+    whether it is at most TOL."""
+    slack = r - (A @ z[..., None])[..., 0]
+    res = np.maximum(np.abs((P @ z[..., None])[..., 0] + q).max(-1),
+                     -slack.min(-1, initial=np.inf))
+    return res, res <= TOL
 
 
 def _cho_solve(U, b):
@@ -58,12 +69,10 @@ class DenseQP:
         self.V = dtrtrs(self.chol, self.A.T, lower=1)[0]  # L^-1 A'
         self.law = None  # (sorted warm set, its _independent rows, M)
 
-    def kkt_residual(self, z, nu, q, r):
-        res = np.abs(self.P @ z + q + self.A.T @ nu).max()
-        if self.k:
-            slack = r - self.A @ z
-            res = max(res, -slack.min(), -nu.min(), np.abs(nu * slack).max())
-        return float(res)
+    @cached_property
+    def Pinv(self):
+        """P^-1 from the factor, formed on first use (laws, batched rounds)."""
+        return dpotrs(self.chol, np.eye(self.n), lower=1)[0]
 
     def _certify_infeasible(self, r):
         res = linprog(
@@ -85,10 +94,14 @@ class DenseQP:
         keep = piv[:rank] - 1
         return [active[i] for i in keep], Va[:, keep], U[:rank, :rank]
 
-    def _accept(self, q, r, z, rows, w, iters):
+    def _accept(self, q, z, rows, w, iters, slack):
+        """The QPResult of z with multipliers w on `rows` and slack r - A z,
+        if its KKT residual is at most TOL, else None."""
         nu = np.zeros(self.k)
         nu[rows] = w
-        res = self.kkt_residual(z, nu, q, r)
+        res = float(max(np.abs(self.P @ z + q + self.A.T @ nu).max(),
+                        -slack.min(initial=np.inf), -nu.min(initial=np.inf),
+                        np.abs(nu * slack).max(initial=0.0)))
         active = tuple(np.flatnonzero(nu > 0.0).tolist())
         return QPResult(z, nu, active, res, iters) if res <= TOL else None
 
@@ -102,7 +115,7 @@ class DenseQP:
             Y = dtrtrs(self.chol, Va, lower=1, trans=1)[0]  # L^-T V_a
             W = -_cho_solve(U, np.hstack([Y.T, np.eye(len(rows))]))
             Z = -Y @ W
-            Z[:, :self.n] -= dpotrs(self.chol, np.eye(self.n), lower=1)[0]
+            Z[:, :self.n] -= self.Pinv
             self.law = (key, indep, np.vstack([Z, W]))
         return self.law[1:]
 
@@ -132,9 +145,9 @@ class DenseQP:
                     del active[int(np.argmin(w))]
                     continue
                 slack = r - self.A @ z
+                if slack.min(initial=np.inf) >= -0.1 * TOL:
+                    return self._accept(q, z, active, w, it, slack)
                 p = int(np.argmin(slack))
-                if slack[p] >= -0.1 * TOL:
-                    return self._accept(q, r, z, active, w, it)
             # Raising t by s moves w by -s rho and the slack of row p by s pivot.
             vp = self.V[:, p]
             rho = _cho_solve(U, Va.T @ vp)
@@ -155,25 +168,29 @@ class DenseQP:
         return None
 
     def solve(self, q, r, warm_active=None):
+        """The certified solution: the trivial return when `unconstrained`
+        accepts it, else `constrained`."""
         q = np.asarray(q, dtype=float).reshape(self.n)
         r = np.asarray(r, dtype=float).reshape(self.k)
-
         z = -dpotrs(self.chol, q, lower=1)[0]
-        smin = (r - self.A @ z).min(initial=np.inf)
-        if smin >= -min(TOL, FEAS_TOL):
-            # with nu = 0 the KKT residual is stationarity and feasibility
-            res = max(np.abs(self.P @ z + q).max(), -smin)
+        res, trivial = unconstrained(self.P, self.A, z, q, r)
+        if trivial:
             return QPResult(z, np.zeros(self.k), (), float(res), 0)
+        return self.constrained(q, r, warm_active)
 
+    def constrained(self, q, r, warm_active=None):
+        """The certified solution of a QP whose unconstrained minimizer the
+        trivial test refused.  `warm_active`, a sorted tuple of distinct rows
+        such as a QPResult.active, only affects speed."""
         if warm_active:
-            key = tuple(sorted(set(int(i) for i in warm_active)))
-            indep, M = self._law(key)
+            indep, M = self._law(tuple(warm_active))
             rows = indep[0]
             zw = M @ np.concatenate([q, r[rows]])
             z, w = zw[:self.n], zw[self.n:]
+            slack = r - self.A @ z
             out = None
-            if w.min(initial=0.0) >= 0.0 and (r - self.A @ z).min() >= -0.1 * TOL:
-                out = self._accept(q, r, z, rows, w, 0)
+            if w.min(initial=0.0) >= 0.0 and slack.min() >= -0.1 * TOL:
+                out = self._accept(q, z, rows, w, 0, slack)
             out = out or self._polish(q, r, indep, POLISH_ROUNDS)
             if out is not None:
                 out.iters = 0

@@ -61,6 +61,16 @@ class TestExitCodes:
                 code = run(cmd + ["--scenario", str(bad), "--out", str(tmp_path)])
                 assert code == 3, (key, value, cmd[0])
 
+    def test_non_numeric_epsilon_scenario_error(self, tmp_path,
+                                                formation3_path):
+        for value in (None, [0.1], "small"):
+            doc = json.loads(open(formation3_path).read())
+            doc["epsilon"] = value
+            bad = tmp_path / "eps.json"
+            bad.write_text(json.dumps(doc))
+            code = run(["check", "--scenario", str(bad), "--out", str(tmp_path)])
+            assert code == 3, value
+
     def test_bad_step_size_scenario_error(self, tmp_path, formation3_path):
         for alpha in ("-1", "0", "nan", "inf"):
             code = run(["simulate", "--scenario", formation3_path,

@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from dsmpc import coordinator, plant
 from dsmpc.condense import GlobalQP, condense_agent
 from dsmpc.coordinator import inner_solves
 from dsmpc.errors import Infeasible, MaxIters
-from dsmpc.model import AgentModel, Polytope
+from dsmpc.model import (AgentModel, CouplingRow, CouplingSpec, Polytope,
+                         Scenario)
 from dsmpc.oracle import recovered_law
-from dsmpc.qpcore import DenseQP
+from dsmpc.qpcore import TOL, DenseQP, unconstrained
 
 from conftest import make_axis_agent
 from oracles import probe_qp_optimality, qp_by_enumeration
@@ -325,3 +327,137 @@ class TestDenseQP:
         assert res.nu[0] == pytest.approx(6e-9, rel=1e-6)
         assert res.z == pytest.approx([0.3, -0.5], abs=1e-12)
         assert res.kkt_residual <= 1e-9
+
+
+def shaped_agent(m, box=None, state_box=None, seed=0):
+    """A two-state agent with m inputs, an input box of half-width `box`
+    and a state box of half-width `state_box` (None: no rows)."""
+    rng = np.random.default_rng(seed)
+    return AgentModel(
+        A=[[1.0, 0.2], [0.0, 0.9]], B=rng.normal(size=(2, m)), Q=np.eye(2),
+        R=np.eye(m), P=np.eye(2),
+        input_poly=Polytope.unconstrained(m) if box is None else
+        Polytope.box(-box * np.ones(m), box * np.ones(m)),
+        state_poly=Polytope.unconstrained(2) if state_box is None else
+        Polytope.box(-state_box * np.ones(2), state_box * np.ones(2)),
+        terminal_poly=Polytope.unconstrained(2), terminal_equality=False,
+        disturbance_bound=[0.0, 0.0], x0=[0.0, 0.0], name=f"s{seed}",
+    )
+
+
+def mixed_global(models, p_stage, seed=0, N=2):
+    """A GlobalQP over the condensed `models` with random coupling rows,
+    N * p_stage of them (none for p_stage = 0)."""
+    rng = np.random.default_rng(seed)
+    agents = []
+    for i, a in enumerate(models):
+        ca = condense_agent(a, N, index=i)
+        ca.E = rng.normal(size=(N * p_stage, ca.nu))
+        ca.F = np.zeros((N * p_stage, ca.n))
+        agents.append(ca)
+    return GlobalQP(agents=agents, b=np.zeros(N * p_stage), p_stage=p_stage,
+                    N=N, stage_Eu=[], stage_Ex=[], bbar=np.zeros(p_stage))
+
+
+def per_agent_solves(g, x, lam, warm=None):
+    """Each agent's inner QP solved alone by DenseQP.solve, from its own
+    blocks."""
+    return [ca.qp.solve(ca.G @ xi + ca.E.T @ lam, ca.c - ca.D @ xi,
+                        warm_active=None if warm is None else warm[i].active)
+            for i, (ca, xi) in enumerate(zip(g.agents, g.split_states(x)))]
+
+
+def chain_scenario(M=30, seed=0):
+    """Double-integrator agents on a line, targets one apart, neighbours
+    sharing the spacing rows |p_i - p_(i+1)| <= 1.1."""
+    rng = np.random.default_rng(seed)
+    agents = [make_axis_agent(np.array([i, 0.0]) + rng.uniform([-0.3, -0.1],
+                                                               [0.3, 0.1]),
+                              target=[float(i), 0.0], box=0.2, name=f"c{i}")
+              for i in range(M)]
+    pos = np.array([1.0, 0.0])
+    rows = [CouplingRow({}, {i: s * pos, i + 1: -s * pos}, 1.1)
+            for i in range(M - 1) for s in (1.0, -1.0)]
+    return Scenario(agents=agents, coupling=CouplingSpec(rows), horizon=5,
+                    epsilon=1e-3, iterations=5, sim_steps=10, seed=seed,
+                    name=f"chain{M}")
+
+
+class TestBatchedInnerSolves:
+    """coordinator.inner_solves batches the broadcast, the trivial test per
+    agent shape and the gather; it must return what each agent's own
+    DenseQP.solve returns."""
+
+    MODELS = [shaped_agent(1, box=0.3, seed=0), shaped_agent(1, box=0.5, seed=1),
+              shaped_agent(2, box=0.2, seed=2), shaped_agent(1, seed=3),
+              shaped_agent(1, box=0.3, state_box=2.0, seed=4),
+              shaped_agent(1, seed=5)]
+
+    @staticmethod
+    def assert_same(batched, single):
+        for b, s in zip(batched, single, strict=True):
+            assert np.max(np.abs(b.z - s.z), initial=0.0) <= 1e-12
+            assert (b.active, b.iters) == (s.active, s.iters)  # same path
+            assert b.kkt_residual <= 1e-9 and s.kkt_residual <= 1e-9
+
+    @pytest.mark.parametrize("p_stage", [0, 2])
+    def test_matches_per_agent_solves(self, p_stage):
+        g = mixed_global(self.MODELS, p_stage, seed=p_stage)
+        assert sorted((u_rows.shape[1], r_rows.shape[1], len(idx))
+                      for idx, u_rows, r_rows, *_ in g.groups) == \
+            [(2, 0, 2), (2, 4, 2), (2, 12, 1), (4, 8, 1)]
+        rng = np.random.default_rng(7)
+        paths = set()
+        for trial in range(40):
+            x = rng.normal(scale=0.3, size=g.n_total)
+            lam = np.abs(rng.normal(scale=trial / 10.0, size=g.n_dual))
+            terms = g.state_terms(x)
+            cold = inner_solves(g, terms, lam)
+            self.assert_same(cold, per_agent_solves(g, x, lam))
+            near = lam * 1.05 + 0.01
+            self.assert_same(inner_solves(g, terms, near, warm=cold),
+                             per_agent_solves(g, x, near, warm=cold))
+            paths.update(bool(sol.active) for sol in cold)
+        assert paths == {False, True}  # trivial returns and active rows
+
+    def test_empty_agent_polytope_raises(self):
+        empty = shaped_agent(1, seed=6)
+        empty.input_poly = Polytope(np.array([[1.0], [-1.0]]),
+                                    np.array([-1.0, -1.0]))
+        g = mixed_global([shaped_agent(1, box=0.3, seed=0), empty], 1)
+        with pytest.raises(Infeasible):
+            inner_solves(g, g.state_terms(np.zeros(g.n_total)),
+                         np.zeros(g.n_dual))
+
+    def test_trivial_test_checks_stationarity(self):
+        # a feasible point that is not the minimizer is refused, one QP or
+        # a stack of two
+        P, A = np.diag([2.0, 1.0]), np.eye(2)
+        q, r = np.array([1.0, -1.0]), np.full(2, 5.0)
+        z = -q / np.diag(P)
+        res, ok = unconstrained(P, A, z, q, r)
+        assert ok and res <= TOL
+        res, ok = unconstrained(np.stack([P, P]), np.stack([A, A]),
+                                np.stack([z, z + 1e-6]), np.stack([q, q]),
+                                np.stack([r, r]))
+        assert ok.tolist() == [True, False] and res[1] > TOL
+
+    @pytest.mark.parametrize("which", ["formation3", "chain30"])
+    def test_loop_results_certified(self, which, formation3, monkeypatch):
+        scenario = formation3 if which == "formation3" else chain_scenario()
+        seen = []
+
+        def recording(*args, **kwargs):
+            out = inner_solves(*args, **kwargs)
+            seen.extend(out)
+            return out
+
+        monkeypatch.setattr(coordinator, "inner_solves", recording)
+        monkeypatch.setattr(plant, "inner_solves", recording)
+        dist = plant.make_disturbance("uniform", 0.01 * np.ones(scenario.n_total),
+                                      seed=3)
+        trace = plant.simulate_closed_loop(scenario, ell=5, steps=10, dist=dist)
+        assert trace.infeasible_at is None
+        assert len(seen) == 6 * 10 * len(scenario.agents)
+        assert max(sol.kkt_residual for sol in seen) <= 1e-9
+        assert any(sol.active for sol in seen)

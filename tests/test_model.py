@@ -135,6 +135,16 @@ class TestNonFinite:
         with pytest.raises(ValueError, match=key):
             load_scenario(path)
 
+    @pytest.mark.parametrize("value", [None, [0.1], {"eps": 0.1}, "small"])
+    def test_non_numeric_epsilon_is_parse_error(self, tmp_path,
+                                                formation3_path, value):
+        doc = json.loads(open(formation3_path).read())
+        doc["epsilon"] = value
+        path = tmp_path / "eps.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="epsilon"):
+            load_scenario(path)
+
 
 class TestValidateAssumptions:
     def test_formation3_passes(self, formation3):
