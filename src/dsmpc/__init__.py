@@ -7,8 +7,8 @@ for convergence, contraction, and stability experiments.
 from .analysis import (ExperimentReport, contraction_estimate, iss_experiment,
                        regularization_sweep, suboptimality_curve,
                        violation_profile)
-from .condense import (CondensedAgent, GlobalQP, build_coupling,
-                       condense_agent, condense_scenario, eval_condensed_cost)
+from .condense import (CondensedAgent, GlobalQP, condense_agent,
+                       condense_scenario, eval_condensed_cost)
 from .coordinator import (AdaRun, contraction_factor, default_step, dual_cost,
                           inner_solves, lipschitz_constant, min_iterations,
                           run_ada)

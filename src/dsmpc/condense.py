@@ -1,13 +1,20 @@
-"""Condensed QP construction: per-agent prediction matrices, quadratic cost
-blocks, stacked local constraint rows, and the coupling blocks over the
-horizon.  Predicted states are eliminated through the dynamics, so the only
-decision variables are the input trajectories.
+"""Condensed QP construction.  Predicted states are eliminated through the
+dynamics, so the only decision variables are the input trajectories.
+
+The agents of a scenario are condensed in one stacked pass per agent shape
+(n, m and the input, state and terminal row counts): the powers of A, the
+prediction maps Ahat and Bhat, the cost blocks H, G, W, the local rows C, D,
+c and the coupling blocks E, F over the horizon are batched products over
+the group's stacked models, and each agent keeps its slice.  Condensing is a
+structured batch of small dense products (Frison and Jorgensen, CDC 2013);
+homogeneous agents make that batch one stack.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
-from scipy.linalg import block_diag, solve_triangular
 
 from .errors import DimensionError
 from .qpcore import DenseQP
@@ -20,7 +27,7 @@ class CondensedAgent:
     Local constraint rows are ordered: input rows for stages 0..N-1, then
     state rows for stages 0..N-1, then terminal rows.  Coupling blocks E, F
     cover predicted stages 1..N (the measured state is not a decision
-    variable); they are zero-row until the coupling is attached.  `qp` is
+    variable); they are zero-row when the agent is condensed alone.  `qp` is
     the factorized inner-problem workspace on (H, C), built here once.
     """
 
@@ -50,142 +57,150 @@ class CondensedAgent:
         return self.N * self.m
 
 
-def prediction_matrices(A, B, N):
-    """Stacked prediction maps: xi = Ahat x0 + Bhat nu, stages 0..N."""
-    n, m = B.shape
-    Ahat = np.zeros(((N + 1) * n, n))
-    Bhat = np.zeros(((N + 1) * n, N * m))
-    Ahat[:n] = np.eye(n)
-    powers = [np.eye(n)]
+def _stacker(items):
+    """np.stack of one (dotted) attribute over `items`."""
+    return lambda path: np.stack([attrgetter(path)(it) for it in items])
+
+
+def _block_diagonal(X, N):
+    """kron(I_N, X_j) for every matrix X_j of a stack (g, r, s)."""
+    g, r, s = X.shape
+    out = np.zeros((g, N, r, N, s))
+    stages = np.arange(N)
+    out[:, stages, :, stages, :] = X
+    return out.reshape(g, N * r, N * s)
+
+
+def _condense_group(models, index, N, Eu, Ex):
+    """Condense agents of one shape in one stacked pass: `models` are their
+    AgentModels, `index` their places in the scenario, Eu (g, p, m) and
+    Ex (g, p, n) their coupling stage blocks.  Returns a CondensedAgent per
+    model, in order."""
+    if N < 1:
+        raise DimensionError(f"horizon must be >= 1, got {N}")
+    stack = _stacker(models)
+    A, B = stack("A"), stack("B")
+    g, n, m = B.shape
+    # Ax[:, k] = A^k maps x_0 to x_k; Bx[:, k, j] = A^(k-1-j) B maps input
+    # j < k to x_k.
+    Ax = np.empty((g, N + 1, n, n))
+    Ax[:, 0] = np.eye(n)
     for k in range(1, N + 1):
-        powers.append(powers[-1] @ A)
-        Ahat[k * n:(k + 1) * n] = powers[k]
-    for k in range(1, N + 1):
-        for j in range(k):
-            Bhat[k * n:(k + 1) * n, j * m:(j + 1) * m] = powers[k - 1 - j] @ B
-    return Ahat, Bhat
+        Ax[:, k] = Ax[:, k - 1] @ A
+    AB = Ax[:, :N] @ B[:, None]
+    Bx = np.zeros((g, N + 1, N, n, m))
+    k, j = np.tril_indices(N)
+    Bx[:, k + 1, j] = AB[:, k - j]
+    Ahat = Ax.reshape(g, (N + 1) * n, n)
+    Bhat = Bx.transpose(0, 1, 3, 2, 4).reshape(g, (N + 1) * n, N * m)
+    Bs = Bhat.reshape(g, N + 1, n, N * m)
+
+    # Bhat' Hhat and Ahat' Hhat for Hhat = blkdiag(Q, ..., Q, P), one stage
+    # block at a time; H, G and W are then (X' Hhat) Y.
+    Qs = np.concatenate([np.broadcast_to(stack("Q")[:, None], (g, N, n, n)),
+                         stack("P")[:, None]], axis=1)
+    BtQ, AtQ = ((X.transpose(0, 1, 3, 2) @ Qs).transpose(0, 2, 1, 3)
+                .reshape(g, X.shape[-1], (N + 1) * n) for X in (Bs, Ax))
+    H = BtQ @ Bhat + _block_diagonal(stack("R"), N)
+    H = 0.5 * (H + H.transpose(0, 2, 1))
+    G = BtQ @ Ahat
+    W = AtQ @ Ahat
+    W = 0.5 * (W + W.transpose(0, 2, 1))
+
+    Cu, Cx = stack("input_poly.C"), stack("state_poly.C")
+    CN = stack("terminal_poly.C")
+
+    def state_rows(X):  # [I_N (x) Cx, 0; 0, CN] applied to stage maps X
+        return np.concatenate([(Cx[:, None] @ X[:, :N]).reshape(g, -1, X.shape[-1]),
+                               CN @ X[:, N]], axis=1)
+
+    C = np.concatenate([_block_diagonal(Cu, N), state_rows(Bs)], axis=1)
+    D = np.concatenate([np.zeros((g, N * Cu.shape[1], n)), state_rows(Ax)], axis=1)
+    c = np.concatenate([np.tile(stack("input_poly.c"), N),
+                        np.tile(stack("state_poly.c"), N),
+                        stack("terminal_poly.c")], axis=1)
+
+    # Coupling rows of predicted stages 1..N: Ex x_k + Eu u_(k-1).
+    p = Eu.shape[1]
+    E = (Ex[:, None] @ Bs[:, 1:]).reshape(g, N * p, N * m) + _block_diagonal(Eu, N)
+    F = (Ex[:, None] @ Ax[:, 1:]).reshape(g, N * p, n)
+
+    return [CondensedAgent(index=i, name=a.name, n=n, m=m, N=N, H=H[s], G=G[s],
+                           W=W[s], C=C[s], D=D[s], c=c[s], E=E[s], F=F[s],
+                           Ahat=Ahat[s], Bhat=Bhat[s])
+            for s, (i, a) in enumerate(zip(index, models))]
 
 
 def condense_agent(agent, N, index=0):
-    """Build the condensed cost and local constraint matrices for one agent,
-    the `index`-th of its scenario."""
-    if N < 1:
-        raise DimensionError(f"horizon must be >= 1, got {N}")
-    n, m = agent.n, agent.m
-    Ahat, Bhat = prediction_matrices(agent.A, agent.B, N)
-    Hhat = block_diag(np.kron(np.eye(N), agent.Q), agent.P)
-
-    H = Bhat.T @ Hhat @ Bhat + np.kron(np.eye(N), agent.R)
-    H = 0.5 * (H + H.T)
-    G = Bhat.T @ Hhat @ Ahat
-    W = Ahat.T @ Hhat @ Ahat
-    W = 0.5 * (W + W.T)
-
-    Cx, cx = agent.state_poly.C, agent.state_poly.c
-    CN, cN = agent.terminal_poly.C, agent.terminal_poly.c
-    Cu, cu = agent.input_poly.C, agent.input_poly.c
-    Lhat = block_diag(np.kron(np.eye(N), Cx), CN) if (Cx.size or CN.size) else \
-        np.zeros((0, (N + 1) * n))
-
-    C = np.vstack([np.kron(np.eye(N), Cu), Lhat @ Bhat])
-    D = np.vstack([np.zeros((N * Cu.shape[0], n)), Lhat @ Ahat])
-    c = np.concatenate([np.tile(cu, N), np.tile(cx, N), cN])
-
-    return CondensedAgent(
-        index=index,
-        name=agent.name,
-        n=n,
-        m=m,
-        N=N,
-        H=H,
-        G=G,
-        W=W,
-        C=C,
-        D=D,
-        c=c,
-        E=np.zeros((0, N * m)),
-        F=np.zeros((0, n)),
-        Ahat=Ahat,
-        Bhat=Bhat,
-    )
+    """Condense one agent alone, the `index`-th of its scenario: the
+    one-agent case of the stacked pass, with zero coupling rows."""
+    return _condense_group([agent], [index], N, np.zeros((1, 0, agent.m)),
+                           np.zeros((1, 0, agent.n)))[0]
 
 
-def build_coupling(stage_Eu, stage_Ex, bbar, condensed):
-    """Stack the per-agent stage blocks (`CouplingSpec.stage_matrices`) and
-    the stage bound bbar over the horizon.
-
-    Returns (E_list, F_list, b): per-agent E (Np x Nm) and F (Np x n) built
-    from the predicted block rows 1..N of Bhat / Ahat, and b = 1_N (x) bbar.
-    """
-    p = bbar.size
-    E_list, F_list = [], []
-    for ca, Eu_s, Ex_s in zip(condensed, stage_Eu, stage_Ex):
-        n, N = ca.n, ca.N
-        rows = slice(n, (N + 1) * n)  # predicted stages 1..N
-        if p == 0:
-            E_list.append(np.zeros((0, ca.nu)))
-            F_list.append(np.zeros((0, n)))
-            continue
-        IEx = np.kron(np.eye(N), Ex_s)
-        F_list.append(IEx @ ca.Ahat[rows])
-        E_list.append(IEx @ ca.Bhat[rows] + np.kron(np.eye(N), Eu_s))
-    b = np.tile(bbar, condensed[0].N)
-    return E_list, F_list, b
+# The agents of one inner-problem shape (n, nu, k) in a GlobalQP: their
+# indices, their (len, nu) positions in the stacked inputs, (len, k) in the
+# stacked local rows and (len, n) in the stacked states, and their stacked
+# H_i, C_i, H_i^-1, G_i, D_i and c_i.
+ShapeGroup = namedtuple("ShapeGroup", "idx u_rows r_rows P A Pinv x_rows G D c")
 
 
 @dataclass
 class GlobalQP:
     """All condensed agents plus the stacked coupling data, in agent order.
 
-    Built at construction from the agents' blocks: `coupling_norms` holds
-    ||E_i H_i^{-1} E_i'|| per agent, the top eigenvalue of the nu x nu Gram
-    matrix W W' with W = L^{-1} E_i' on the agent's Cholesky factor (W' W has
-    the same nonzero eigenvalues); `E_all` = [E_1 ... E_M]; `groups` holds,
-    per inner-problem shape (nu, k), the agent indices, their (len, nu)
-    positions in the stacked inputs and (len, k) in the stacked local rows,
-    and the stacked H_i, C_i and H_i^-1.  `oracle_ws` holds the oracle's
-    stacked blocks and its DenseQP per eps, built on first use.
+    `stage_Eu` (p x sum m_i) and `stage_Ex` (p x sum n_i) are the stage
+    coupling blocks side by side.  Built at construction from the agents'
+    blocks: `E_all` = [E_1 ... E_M] and `F_all` = [F_1 ... F_M]; `groups`,
+    one ShapeGroup per inner-problem shape; and `coupling_norms`, per agent
+    ||E_i H_i^{-1} E_i'||, the top eigenvalue of the nu x nu Gram matrix
+    W W' = L^{-1} E_i' E_i L^{-T} on the agent's Cholesky factor (W' W has
+    the same nonzero eigenvalues), one batched eigvalsh per group.
+    `oracle_ws` holds the oracle's stacked blocks and its DenseQP per eps,
+    built on first use.
     """
 
     agents: list
     b: np.ndarray
     p_stage: int
     N: int
-    stage_Eu: list
-    stage_Ex: list
+    stage_Eu: np.ndarray
+    stage_Ex: np.ndarray
     bbar: np.ndarray
     digest: str = ""
     coupling_norms: list = field(init=False, repr=False, compare=False)
     E_all: np.ndarray = field(init=False, repr=False, compare=False)
+    F_all: np.ndarray = field(init=False, repr=False, compare=False)
     groups: list = field(init=False, repr=False, compare=False)
     oracle_ws: object = field(default=None, init=False, repr=False,
                               compare=False)
 
     def __post_init__(self):
-        self.coupling_norms = []
-        for ca in self.agents:
-            W = solve_triangular(ca.qp.chol, ca.E.T, lower=True)
-            self.coupling_norms.append(float(np.linalg.eigvalsh(W @ W.T)[-1]))
         self.E_all = np.hstack([ca.E for ca in self.agents])
-        u_off = self.input_offsets()
+        self.F_all = np.hstack([ca.F for ca in self.agents])
+        u_off, x_off = self.input_offsets(), self.state_offsets()
         r_off = np.cumsum([0] + [ca.qp.k for ca in self.agents])
         shapes = {}
         for i, ca in enumerate(self.agents):
-            shapes.setdefault((ca.nu, ca.qp.k), []).append(i)
-        self.groups = [
-            (idx, u_off[idx][:, None] + np.arange(nu),
-             r_off[idx][:, None] + np.arange(k),
-             *(np.stack([getattr(self.agents[i].qp, a) for i in idx])
-               for a in ("P", "A", "Pinv")))
-            for (nu, k), idx in shapes.items()]
+            shapes.setdefault((ca.n, ca.nu, ca.qp.k), []).append(i)
+        norms = np.zeros(len(self.agents))
+        self.groups = []
+        for (n, nu, k), idx in shapes.items():
+            stack = _stacker([self.agents[i] for i in idx])
+            E, Linv = stack("E"), np.linalg.inv(stack("qp.chol"))
+            WWt = Linv @ (E.transpose(0, 2, 1) @ E) @ Linv.transpose(0, 2, 1)
+            norms[idx] = np.linalg.eigvalsh(WWt)[:, -1]
+            self.groups.append(ShapeGroup(
+                idx, u_off[idx][:, None] + np.arange(nu),
+                r_off[idx][:, None] + np.arange(k),
+                stack("qp.P"), stack("qp.A"), stack("qp.Pinv"),
+                x_off[idx][:, None] + np.arange(n),
+                stack("G"), stack("D"), stack("c")))
+        self.coupling_norms = norms.tolist()
 
     @property
     def n_total(self):
         return sum(ca.n for ca in self.agents)
-
-    @property
-    def m_total(self):
-        return sum(ca.m for ca in self.agents)
 
     @property
     def n_dual(self):
@@ -198,12 +213,16 @@ class GlobalQP:
     def state_offsets(self):
         return np.cumsum([0] + [ca.n for ca in self.agents])
 
-    def split_states(self, x):
+    def _states(self, x):
         x = np.asarray(x, dtype=float)
         if x.size != self.n_total:
             raise DimensionError(
                 f"state vector has length {x.size}, expected {self.n_total}"
             )
+        return x
+
+    def split_states(self, x):
+        x = self._states(x)
         off = self.state_offsets()
         return [x[off[i]:off[i + 1]] for i in range(len(self.agents))]
 
@@ -225,47 +244,43 @@ class GlobalQP:
         """The parts of the inner problems fixed by a measured state x: the
         agents' G_i x_i stacked like the inputs, their r_i = c_i - D_i x_i
         stacked in agent order, and sum_i F_i x_i over the stacked horizon
-        rows."""
-        x_parts = self.split_states(x)
-        Gx = np.concatenate([ca.G @ xi for ca, xi in zip(self.agents, x_parts)])
-        r = np.concatenate([ca.c - ca.D @ xi for ca, xi in zip(self.agents, x_parts)])
-        Fx = np.zeros(self.n_dual)
-        for ca, xi in zip(self.agents, x_parts):
-            Fx += ca.F @ xi
-        return Gx, r, Fx
+        rows; one product per shape group."""
+        x = self._states(x)
+        Gx = np.empty(self.E_all.shape[1])
+        r = np.empty(sum(grp.r_rows.size for grp in self.groups))
+        for grp in self.groups:
+            xs = x[grp.x_rows][..., None]
+            Gx[grp.u_rows] = (grp.G @ xs)[..., 0]
+            r[grp.r_rows] = grp.c - (grp.D @ xs)[..., 0]
+        return Gx, r, self.F_all @ x
 
     def stage_violation(self, x, u_first):
         """Positive part of the stage coupling rows at a realized (x, u)."""
-        resid = -self.bbar.copy()
-        for Ex, Eu, xi, ui in zip(
-            self.stage_Ex, self.stage_Eu, self.split_states(x),
-            np.split(np.asarray(u_first, dtype=float),
-                     np.cumsum([ca.m for ca in self.agents])[:-1]),
-        ):
-            resid += Ex @ xi + Eu @ ui
-        return np.maximum(resid, 0.0)
+        return np.maximum(self.stage_Ex @ self._states(x)
+                          + self.stage_Eu @ np.asarray(u_first, dtype=float)
+                          - self.bbar, 0.0)
 
 
 def condense_scenario(scenario):
-    """Condense every agent and attach the stacked coupling blocks."""
-    N = scenario.horizon
-    condensed = [condense_agent(agent, N, index=i)
-                 for i, agent in enumerate(scenario.agents)]
+    """Condense every agent, one stacked pass per agent shape, with the
+    coupling blocks attached; agents keep their scenario order."""
+    N, agents = scenario.horizon, scenario.agents
+    Eu, Ex = scenario.coupling.stage_matrices(agents)
+    u_off = np.cumsum([0] + [a.m for a in agents])
+    x_off = np.cumsum([0] + [a.n for a in agents])
+    shapes = {}
+    for i, a in enumerate(agents):
+        shapes.setdefault((a.n, a.m, a.input_poly.rows, a.state_poly.rows,
+                           a.terminal_poly.rows), []).append(i)
+    condensed = []
+    for (n, m, *_), idx in shapes.items():
+        Eu_g = Eu[:, u_off[idx][:, None] + np.arange(m)].transpose(1, 0, 2)
+        Ex_g = Ex[:, x_off[idx][:, None] + np.arange(n)].transpose(1, 0, 2)
+        condensed += _condense_group([agents[i] for i in idx], idx, N, Eu_g, Ex_g)
+    condensed.sort(key=lambda ca: ca.index)
     bbar = scenario.coupling.bbar
-    stage_Eu, stage_Ex = scenario.coupling.stage_matrices(scenario.agents)
-    E_list, F_list, b = build_coupling(stage_Eu, stage_Ex, bbar, condensed)
-    for ca, E, F in zip(condensed, E_list, F_list):
-        ca.E, ca.F = E, F
-    return GlobalQP(
-        agents=condensed,
-        b=b,
-        p_stage=scenario.coupling.p,
-        N=N,
-        stage_Eu=stage_Eu,
-        stage_Ex=stage_Ex,
-        bbar=bbar,
-        digest=scenario.digest(),
-    )
+    return GlobalQP(agents=condensed, b=np.tile(bbar, N), p_stage=scenario.coupling.p,
+                    N=N, stage_Eu=Eu, stage_Ex=Ex, bbar=bbar, digest=scenario.digest())
 
 
 def eval_condensed_cost(g, u, x):
@@ -299,22 +314,9 @@ def rollout_cost(scenario, u, x):
 
 def dump_matrices(g):
     """Matrix dump of the condensed data in the scenario file encoding."""
-    out = {"horizon": g.N, "coupling_rows_per_stage": g.p_stage,
-           "b": g.b.tolist(), "agents": []}
-    for ca in g.agents:
-        out["agents"].append(
-            {
-                "name": ca.name,
-                "H": ca.H.tolist(),
-                "G": ca.G.tolist(),
-                "W": ca.W.tolist(),
-                "C": ca.C.tolist(),
-                "D": ca.D.tolist(),
-                "c": ca.c.tolist(),
-                "E": ca.E.tolist(),
-                "F": ca.F.tolist(),
-                "Ahat": ca.Ahat.tolist(),
-                "Bhat": ca.Bhat.tolist(),
-            }
-        )
-    return out
+    return {"horizon": g.N, "coupling_rows_per_stage": g.p_stage,
+            "b": g.b.tolist(),
+            "agents": [{"name": ca.name, **{k: getattr(ca, k).tolist() for k in
+                                            ("H", "G", "W", "C", "D", "c", "E",
+                                             "F", "Ahat", "Bhat")}}
+                       for ca in g.agents]}

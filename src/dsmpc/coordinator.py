@@ -56,7 +56,7 @@ def inner_solves(g, terms, lam, warm=None):
     Gx, r, _ = terms
     q = Gx + g.E_all.T @ np.asarray(lam, dtype=float)
     out = [None] * len(g.agents)
-    for idx, u_rows, r_rows, P, A, Pinv in g.groups:
+    for idx, u_rows, r_rows, P, A, Pinv, *_ in g.groups:
         qs, rs = q[u_rows], r[r_rows]
         z = -(Pinv @ qs[..., None])[..., 0]
         res, trivial = unconstrained(P, A, z, qs, rs)
@@ -92,15 +92,16 @@ def run_ada(lam_init, x, iters, g, eps, alpha=None, record_cost=False,
     theta_0 = 1).  With iters == 0 the input price is returned unchanged.
     `warm` takes the per-agent inner solves of an earlier run (`AdaRun.warm`)
     as warm starts; the closed loop chains its sampling times this way.
-    The step alpha must be finite and positive (default 0.99 / L).
+    alpha must be finite and > 0 (default 0.99 / L), eps finite and >= 0.
 
     Diagnostics: per-round aggregate violation norm ||(agg - b)_+||, projected
     step ||mu_{j+1} - mu_j||, and (if record_cost) the regularized dual cost
     at each projected iterate mu_{j+1}.
     """
+    eps = checked_eps(eps)
     if alpha is None:
         alpha = default_step(lipschitz_constant(g, eps))
-    alpha, eps = float(alpha), float(eps)
+    alpha = float(alpha)
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"step size must be finite and positive, got {alpha}")
     lam = np.zeros(g.n_dual) if lam_init is None else \
@@ -122,7 +123,7 @@ def run_ada(lam_init, x, iters, g, eps, alpha=None, record_cost=False,
         mu_steps[j] = float(np.linalg.norm(mu_next - mu))
         mu, theta = mu_next, theta_next
         if record_cost:
-            costs[j] = dual_cost(mu, x, g, eps, warm=solves)
+            costs[j] = _dual_cost(mu, x, g, eps, terms, solves)
     return AdaRun(lam=lam, mu=mu, theta=theta, agg_residuals=agg_res,
                   mu_steps=mu_steps, dual_costs=costs, warm=solves, iters=iters,
                   terms=terms)
@@ -133,11 +134,16 @@ def dual_cost(lam, x, g, eps, warm=None):
     up to -1e-12).  Conjugate terms are evaluated through the inner solves,
     each as f_i(u_i, x_i) + lambda' E_i u_i including the state-only cost
     0.5 x_i' W_i x_i."""
+    eps = checked_eps(eps)
     lam = np.asarray(lam, dtype=float).reshape(-1)
     if lam.size and float(lam.min()) < -1e-12:
         raise DomainError("dual cost requires a componentwise nonnegative price")
     lam = np.maximum(lam, 0.0)
-    terms = g.state_terms(x)
+    return _dual_cost(lam, x, g, eps, g.state_terms(x), warm)
+
+
+def _dual_cost(lam, x, g, eps, terms, warm):
+    """psi_eps at a nonnegative lam from the state terms of x."""
     Gx, _, Fx = terms
     u = np.concatenate([sol.z for sol in inner_solves(g, terms, lam, warm)])
     total = 0.5 * eps * float(lam @ lam) + float(lam @ (g.b - Fx)) \
@@ -145,6 +151,14 @@ def dual_cost(lam, x, g, eps, warm=None):
     for ca, xi, ui in zip(g.agents, g.split_states(x), g.split_inputs(u)):
         total -= float(0.5 * (ui @ ca.H @ ui) + 0.5 * (xi @ ca.W @ xi))
     return float(total)
+
+
+def checked_eps(eps):
+    """eps as a float, if it is finite and >= 0."""
+    eps = float(eps)
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValueError(f"regularization eps must be finite and >= 0, got {eps}")
+    return eps
 
 
 def min_iterations(alpha, eps):

@@ -6,6 +6,7 @@ definiteness, terminal decrease) backed by a PBH test and a Riccati solver.
 import hashlib
 import json
 import math
+from copy import copy
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -136,15 +137,7 @@ class AgentModel:
         self.Q = _matrix(self.Q, "Q", rows=n, cols=n)
         self.R = _matrix(self.R, "R", rows=m, cols=m)
         self.P = _matrix(self.P, "P", rows=n, cols=n)
-        for poly, dim, what in (
-            (self.input_poly, m, "input polytope"),
-            (self.state_poly, n, "state polytope"),
-            (self.terminal_poly, n, "terminal polytope"),
-        ):
-            if poly.dim != dim:
-                raise DimensionError(
-                    f"agent {self.name}: {what} has dimension {poly.dim}, expected {dim}"
-                )
+        self.check_polytopes()
         self.disturbance_bound = _vector(
             self.disturbance_bound, f"agent {self.name}: disturbance bound", size=n
         )
@@ -153,6 +146,17 @@ class AgentModel:
         self.x0 = _vector(self.x0, f"agent {self.name}: x0", size=n)
         if self.target is not None:
             self.target = _vector(self.target, f"agent {self.name}: target", size=n)
+
+    def check_polytopes(self):
+        for poly, dim, what in (
+            (self.input_poly, self.m, "input polytope"),
+            (self.state_poly, self.n, "state polytope"),
+            (self.terminal_poly, self.n, "terminal polytope"),
+        ):
+            if poly.dim != dim:
+                raise DimensionError(
+                    f"agent {self.name}: {what} has dimension {poly.dim}, expected {dim}"
+                )
 
     @property
     def n(self):
@@ -303,19 +307,16 @@ class CouplingSpec:
                     )
 
     def stage_matrices(self, agents):
-        """Per-agent (Eu_i, Ex_i) stage blocks of shape (p, m_i) and (p, n_i)."""
-        p = self.p
-        Eu, Ex = [], []
-        for i, a in enumerate(agents):
-            eu = np.zeros((p, a.m))
-            ex = np.zeros((p, a.n))
-            for k, row in enumerate(self.rows):
-                if i in row.Eu:
-                    eu[k] = row.Eu[i]
-                if i in row.Ex:
-                    ex[k] = row.Ex[i]
-            Eu.append(eu)
-            Ex.append(ex)
+        """The stage blocks side by side in agent order: Eu (p, sum m_i) and
+        Ex (p, sum n_i), so that row k reads Eu u + Ex x <= b_k."""
+        u_off = np.cumsum([0] + [a.m for a in agents])
+        x_off = np.cumsum([0] + [a.n for a in agents])
+        Eu, Ex = np.zeros((self.p, u_off[-1])), np.zeros((self.p, x_off[-1]))
+        for k, row in enumerate(self.rows):
+            for i, v in row.Eu.items():
+                Eu[k, u_off[i]:u_off[i + 1]] = v
+            for i, v in row.Ex.items():
+                Ex[k, x_off[i]:x_off[i + 1]] = v
         return Eu, Ex
 
     @property
@@ -615,15 +616,16 @@ def validate_assumptions(scenario):
 def shift_to_target(scenario):
     """Return an equivalent scenario in coordinates where the targets sit at
     the origin.  Constraint offsets and coupling bounds are adjusted; the
-    applied shift is recorded on the result for un-shifting outputs.
+    applied shift is recorded on the result for un-shifting outputs.  The
+    agents' matrices were validated when they were built, so the shifted
+    agents share them.
     """
-    xbars, ubars = [], []
+    xbars, ubars, agents = [], [], []
     for a in scenario.agents:
         xbar = a.target if a.target is not None else np.zeros(a.n)
         rhs = xbar - a.A @ xbar
-        if np.allclose(rhs, 0.0, atol=EQUILIBRIUM_TOL):
-            ubar = np.zeros(a.m)
-        else:
+        ubar = np.zeros(a.m)
+        if np.abs(rhs).max(initial=0.0) > EQUILIBRIUM_TOL:
             ubar, *_ = np.linalg.lstsq(a.B, rhs, rcond=None)
             resid = float(np.max(np.abs(a.B @ ubar - rhs)))
             if resid > EQUILIBRIUM_TOL:
@@ -631,36 +633,19 @@ def shift_to_target(scenario):
                     f"agent {a.name}: target is not an equilibrium "
                     f"(residual {resid:.3e})"
                 )
+        shifted = copy(a)
+        shifted.input_poly = a.input_poly.shifted(ubar)
+        shifted.state_poly = a.state_poly.shifted(xbar)
+        shifted.terminal_poly = a.terminal_poly.shifted(xbar)
+        shifted.x0, shifted.target = a.x0 - xbar, None
+        shifted.check_polytopes()
         xbars.append(xbar)
         ubars.append(ubar)
+        agents.append(shifted)
 
-    agents = []
-    for a, xbar, ubar in zip(scenario.agents, xbars, ubars):
-        agents.append(
-            replace(
-                a,
-                input_poly=a.input_poly.shifted(ubar),
-                state_poly=a.state_poly.shifted(xbar),
-                terminal_poly=a.terminal_poly.shifted(xbar),
-                x0=a.x0 - xbar,
-                target=None,
-            )
-        )
-
-    rows = []
-    for row in scenario.coupling.rows:
-        offset = 0.0
-        for i, v in row.Ex.items():
-            offset += float(v @ xbars[i])
-        for i, v in row.Eu.items():
-            offset += float(v @ ubars[i])
-        rows.append(CouplingRow(dict(row.Eu), dict(row.Ex), row.b - offset))
-
-    shifted = replace(
-        scenario,
-        agents=agents,
-        coupling=CouplingSpec(rows),
-        shift=(np.concatenate(xbars), np.concatenate(ubars)),
-    )
-    return shifted
-
+    xbar, ubar = np.concatenate(xbars), np.concatenate(ubars)
+    Eu, Ex = scenario.coupling.stage_matrices(scenario.agents)
+    rows = [CouplingRow(dict(row.Eu), dict(row.Ex), row.b - float(offset))
+            for row, offset in zip(scenario.coupling.rows, Ex @ xbar + Eu @ ubar)]
+    return replace(scenario, agents=agents, coupling=CouplingSpec(rows),
+                   shift=(xbar, ubar))

@@ -11,7 +11,7 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from .condense import condense_scenario, eval_condensed_cost
-from .coordinator import inner_solves
+from .coordinator import checked_eps, inner_solves
 from .errors import NoConvergence
 from .model import shift_to_target
 from .plant import plant_step
@@ -106,8 +106,7 @@ def solve_centralized(g, x, eps):
     is outside the feasible parameter set and NoConvergence if the residual
     contract cannot be met.
     """
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
+    eps = checked_eps(eps)
     x = np.asarray(x, dtype=float)
     if g.oracle_ws is None:
         g.oracle_ws = _Workspace(g)

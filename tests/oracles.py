@@ -75,6 +75,51 @@ def stage_coupling_residuals(scenario, u_stacked, x_stacked):
     return out
 
 
+def condensed_by_rollout(agent, N, rows, i):
+    """Agent i's condensed blocks (H, G, W, C, D, c, E, F, Ahat, Bhat) and
+    its coupling norm ||E H^-1 E'||, built from explicit rollouts of unit
+    vectors and assembled stage by stage; `rows` are the scenario's
+    CouplingRows."""
+    n, m = agent.n, agent.m
+    Ahat = np.column_stack([rollout_states(agent.A, agent.B, e, np.zeros((N, m))).ravel()
+                            for e in np.eye(n)])
+    Bhat = np.column_stack([rollout_states(agent.A, agent.B, np.zeros(n),
+                                           e.reshape(N, m)).ravel()
+                            for e in np.eye(N * m)])
+    Ak, Bk = Ahat.reshape(N + 1, n, n), Bhat.reshape(N + 1, n, N * m)
+    Uk = np.eye(N * m).reshape(N, m, N * m)  # u_k = Uk[k] u
+    weights = [agent.Q] * N + [agent.P]
+    out = {"Ahat": Ahat, "Bhat": Bhat,
+           "H": sum(Uk[k].T @ agent.R @ Uk[k] for k in range(N)),
+           "G": np.zeros((N * m, n)), "W": np.zeros((n, n))}
+    for k, Wk in enumerate(weights):
+        out["H"] += Bk[k].T @ Wk @ Bk[k]
+        out["G"] += Bk[k].T @ Wk @ Ak[k]
+        out["W"] += Ak[k].T @ Wk @ Ak[k]
+    local = []  # (C row, D row, c) stage by stage: inputs, states, terminal
+    for k in range(N):
+        local += [(a @ Uk[k], np.zeros(n), b) for a, b in
+                  zip(agent.input_poly.C, agent.input_poly.c)]
+    for k in range(N):
+        local += [(a @ Bk[k], a @ Ak[k], b) for a, b in
+                  zip(agent.state_poly.C, agent.state_poly.c)]
+    local += [(a @ Bk[N], a @ Ak[N], b) for a, b in
+              zip(agent.terminal_poly.C, agent.terminal_poly.c)]
+    out["C"] = np.array([r[0] for r in local]).reshape(-1, N * m)
+    out["D"] = np.array([r[1] for r in local]).reshape(-1, n)
+    out["c"] = np.array([r[2] for r in local])
+    coupling = []  # (E row, F row) for predicted stages 1..N, row by row
+    for k in range(1, N + 1):
+        for row in rows:
+            ex, eu = row.Ex.get(i, np.zeros(n)), row.Eu.get(i, np.zeros(m))
+            coupling.append((ex @ Bk[k] + eu @ Uk[k - 1], ex @ Ak[k]))
+    out["E"] = np.array([r[0] for r in coupling]).reshape(-1, N * m)
+    out["F"] = np.array([r[1] for r in coupling]).reshape(-1, n)
+    gram = out["E"] @ np.linalg.inv(out["H"]) @ out["E"].T
+    out["norm"] = float(np.linalg.eigvalsh(gram).max()) if gram.size else 0.0
+    return out
+
+
 def probe_qp_optimality(H, g, C, r, u_star, rng, trials=200, radius=1.0):
     """Check u_star against random feasible points: no probe may beat its
     objective.  Returns the worst (most negative) objective margin."""

@@ -78,6 +78,17 @@ class TestExitCodes:
                         "--out", str(tmp_path)])
             assert code == 3, alpha
 
+    def test_bad_epsilon_flag_scenario_error(self, tmp_path, formation3_path,
+                                            capsys):
+        # rejected by name before any solve, not by the LP solver's input check
+        for cmd in ("solve", "simulate"):
+            for eps in ("nan", "inf", "-1"):
+                code = run([cmd, "--scenario", formation3_path, f"--eps={eps}",
+                            "--out", str(tmp_path)])
+                assert code == 3, (cmd, eps)
+                err = capsys.readouterr().err
+                assert "eps" in err and "finite" in err, (cmd, eps, err)
+
     def test_solver_failure_reported(self, tmp_path, formation3_path):
         p = tight_scenario(formation3_path, tmp_path)
         code = run(["solve", "--scenario", str(p), "--iters", "3",

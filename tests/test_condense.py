@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from dsmpc.condense import (build_coupling, condense_agent, condense_scenario,
-                            eval_condensed_cost)
+from dsmpc.condense import condense_agent, condense_scenario, eval_condensed_cost
 from dsmpc.errors import DimensionError
-from dsmpc.model import (AgentModel, CouplingSpec, Polytope, Scenario,
-                         shift_to_target)
+from dsmpc.model import (AgentModel, CouplingRow, CouplingSpec, Polytope,
+                         Scenario, shift_to_target)
 
 from conftest import make_axis_agent, make_pair_scenario
-from oracles import sparse_cost, stage_coupling_residuals
+from oracles import condensed_by_rollout, sparse_cost, stage_coupling_residuals
 
 
 def scalar_agent(A=1.0, B=1.0, Q=1.0, R=1.0, P=1.0):
@@ -85,6 +84,84 @@ class TestCondenseAgent:
         assert np.allclose(ca.c[: N * q_u], np.tile(agent.input_poly.c, N))
 
 
+def general_agent(rng, n, m, name, terminal="polytope"):
+    """A random agent with an input box, a state box and either a random
+    terminal polytope or a terminal equality."""
+    A = np.eye(n) + 0.3 * rng.normal(size=(n, n)) / np.sqrt(n)
+    if terminal == "equality":
+        terminal_poly = Polytope(np.vstack([np.eye(n), -np.eye(n)]), np.zeros(2 * n))
+    else:
+        terminal_poly = Polytope(rng.normal(size=(n + 1, n)), rng.uniform(1, 2, n + 1))
+    return AgentModel(
+        A=A, B=rng.normal(size=(n, m)), Q=np.eye(n) + np.diag(rng.uniform(0, 1, n)),
+        R=np.diag(rng.uniform(0.5, 1.5, m)),
+        P=np.zeros((n, n)) if terminal == "equality" else 2.0 * np.eye(n),
+        input_poly=Polytope.box(-np.ones(m), np.ones(m)),
+        state_poly=Polytope.box(-3.0 * np.ones(n), 3.0 * np.ones(n)),
+        terminal_poly=terminal_poly, terminal_equality=terminal == "equality",
+        disturbance_bound=np.zeros(n), x0=np.zeros(n), name=name,
+    )
+
+
+def mixed_scenario(layout, p, seed=0, N=4):
+    """Agents of the shapes in `layout` ("axis", "poly" or "eq", in that
+    order in the scenario) and p coupling rows, each with random input and
+    state blocks on three random agents."""
+    rng = np.random.default_rng(seed)
+    agents = [make_axis_agent([0.0, 0.0], name=f"a{i}") if kind == "axis" else
+              general_agent(rng, 3, 2, f"a{i}",
+                            "equality" if kind == "eq" else "polytope")
+              for i, kind in enumerate(layout)]
+    rows = []
+    for _ in range(p):
+        on = rng.choice(len(agents), size=min(3, len(agents)), replace=False)
+        rows.append(CouplingRow({int(i): rng.normal(size=agents[i].m) for i in on},
+                                {int(i): rng.normal(size=agents[i].n) for i in on},
+                                float(rng.uniform(1, 2))))
+    return Scenario(agents=agents, coupling=CouplingSpec(rows), horizon=N,
+                    epsilon=0.1, name="mixed")
+
+
+class TestStackedCondensation:
+    """condense_scenario condenses each agent shape in one stacked pass; each
+    agent's blocks must equal an explicit per-agent rollout."""
+
+    @staticmethod
+    def assert_matches(g, scenario):
+        assert [ca.index for ca in g.agents] == list(range(len(scenario.agents)))
+        assert [ca.name for ca in g.agents] == [a.name for a in scenario.agents]
+        for i, (ca, agent) in enumerate(zip(g.agents, scenario.agents)):
+            ref = condensed_by_rollout(agent, scenario.horizon,
+                                       scenario.coupling.rows, i)
+            for key in ("H", "G", "W", "C", "D", "c", "E", "F", "Ahat", "Bhat"):
+                got = getattr(ca, key)
+                assert got.shape == ref[key].shape, (i, key)
+                scale = max(1.0, np.abs(ref[key]).max(initial=0.0))
+                assert np.abs(got - ref[key]).max(initial=0.0) <= 1e-12 * scale, (i, key)
+            assert g.coupling_norms[i] == pytest.approx(ref["norm"], rel=1e-12,
+                                                        abs=1e-14)
+
+    @pytest.mark.parametrize("p", [0, 3])
+    def test_mixed_shapes_match_rollout(self, p):
+        s = mixed_scenario(["axis", "poly", "axis", "eq", "poly", "axis"], p)
+        g = condense_scenario(s)
+        assert sorted(grp.idx for grp in g.groups) == [[0, 2, 5], [1, 4], [3]]
+        assert (p == 0) == (max(g.coupling_norms) == 0.0)
+        self.assert_matches(g, s)
+
+    def test_one_agent_matches_rollout(self):
+        s = mixed_scenario(["poly"], 2, seed=1)
+        self.assert_matches(condense_scenario(s), s)
+
+    def test_condense_agent_is_the_uncoupled_case(self):
+        s = mixed_scenario(["eq"], 0, seed=2)
+        ca = condense_agent(s.agents[0], s.horizon, index=4)
+        ref = condensed_by_rollout(s.agents[0], s.horizon, [], 0)
+        assert ca.index == 4 and ca.E.shape == (0, ca.nu) and ca.F.shape == (0, 3)
+        for key in ("H", "G", "W", "C", "D", "c", "Ahat", "Bhat"):
+            assert np.allclose(getattr(ca, key), ref[key], rtol=0, atol=1e-12)
+
+
 class TestBuildCoupling:
     def test_pairwise_abs_rows_expand(self):
         # |p1 - p2| <= 1 componentwise on a 2-coordinate selector:
@@ -102,10 +179,11 @@ class TestBuildCoupling:
 
     def test_empty_coupling_zero_rows(self):
         agents = [make_axis_agent([0, 0])]
-        spec = CouplingSpec.from_list([], agents)
-        cas = [condense_agent(agents[0], 3)]
-        E, F, b = build_coupling(*spec.stage_matrices(agents), spec.bbar, cas)
-        assert E[0].shape == (0, 3) and F[0].shape == (0, 2) and b.size == 0
+        s = Scenario(agents=agents, coupling=CouplingSpec.from_list([], agents),
+                     horizon=3, epsilon=0.1, name="alone")
+        g = condense_scenario(s)
+        ca = g.agents[0]
+        assert ca.E.shape == (0, 3) and ca.F.shape == (0, 2) and g.b.size == 0
 
     def test_stacked_rows_match_stagewise_rollout(self, formation3):
         # E u + F x <= b holds iff every predicted stage 1..N satisfies the

@@ -10,7 +10,9 @@ from dsmpc.errors import DomainError
 from dsmpc.oracle import solve_centralized
 
 
-def stub_global(H_list, E_list, b=None):
+def stub_global(H_list, E_list, b=None, G=0.0, W=0.0):
+    """A GlobalQP of agents with n = 1, N = 1, no local rows and the given
+    H_i, E_i; every entry of G_i is G and W_i = [[W]]."""
     agents = []
     for i, (H, E) in enumerate(zip(H_list, E_list)):
         H = np.atleast_2d(np.asarray(H, dtype=float))
@@ -18,7 +20,7 @@ def stub_global(H_list, E_list, b=None):
         nu = H.shape[0]
         agents.append(CondensedAgent(
             index=i, name=f"s{i}", n=1, m=nu, N=1,
-            H=H, G=np.zeros((nu, 1)), W=np.zeros((1, 1)),
+            H=H, G=np.full((nu, 1), G), W=np.full((1, 1), W),
             C=np.zeros((0, nu)), D=np.zeros((0, 1)), c=np.zeros(0),
             E=E, F=np.zeros((E.shape[0], 1)),
             Ahat=np.zeros((2, 1)), Bhat=np.zeros((2, nu)),
@@ -26,7 +28,8 @@ def stub_global(H_list, E_list, b=None):
     p = E_list[0].shape[0] if hasattr(E_list[0], "shape") else 1
     b = np.zeros(p) if b is None else np.asarray(b, dtype=float)
     return GlobalQP(agents=agents, b=b, p_stage=p, N=1,
-                    stage_Eu=[], stage_Ex=[], bbar=b)
+                    stage_Eu=np.zeros((p, sum(ca.m for ca in agents))),
+                    stage_Ex=np.zeros((p, len(agents))), bbar=b)
 
 
 class TestLipschitzConstant:
@@ -153,7 +156,22 @@ class TestRunAda:
             run_ada(None, s.x0_stacked(), 3, g, s.epsilon, alpha=alpha)
 
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0])
+    def test_rejects_eps_not_finite_nonnegative(self, formation3_global, eps):
+        # rejected before any inner solve, whether the step is given or not
+        s, g = formation3_global
+        for alpha in (0.01, None):
+            with pytest.raises(ValueError, match="eps"):
+                run_ada(None, s.x0_stacked(), 5, g, eps, alpha=alpha)
+
+
 class TestDualCost:
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0])
+    def test_rejects_eps_not_finite_nonnegative(self, formation3_global, eps):
+        s, g = formation3_global
+        with pytest.raises(ValueError, match="eps"):
+            dual_cost(np.zeros(g.n_dual), s.x0_stacked(), g, eps)
+
     def test_zero_price_zero_state(self, pair_global):
         s, g = pair_global
         assert dual_cost(np.zeros(g.n_dual), np.zeros(2), g, s.epsilon) == 0.0
@@ -169,10 +187,8 @@ class TestDualCost:
         # single agent, H=2, G=1, no local rows, E=1, F=0, b=0.1:
         # psi(lam) = (x+lam)^2/4 - x^2 + (eps/2) lam^2 + lam b,
         # minimized at lam* = -(x/2 + b)/(1/2 + eps) when positive.
-        g = stub_global([np.array([[2.0]])], [np.array([[1.0]])], b=[0.1])
-        ca = g.agents[0]
-        ca.G = np.array([[1.0]])
-        ca.W = np.array([[2.0]])
+        g = stub_global([np.array([[2.0]])], [np.array([[1.0]])], b=[0.1],
+                        G=1.0, W=2.0)
         x = np.array([-2.0])
         eps = 0.5
         lam_expect = (1.0 - 0.1) / (0.5 + eps)

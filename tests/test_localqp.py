@@ -35,7 +35,8 @@ def one_agent(ca):
     """A GlobalQP holding the single condensed agent `ca`."""
     p = ca.E.shape[0]
     return GlobalQP(agents=[ca], b=np.zeros(p), p_stage=p, N=1,
-                    stage_Eu=[], stage_Ex=[], bbar=np.zeros(p))
+                    stage_Eu=np.zeros((p, ca.m)), stage_Ex=np.zeros((p, ca.n)),
+                    bbar=np.zeros(p))
 
 
 def solve_one(ca, x, lam, warm=None):
@@ -356,7 +357,9 @@ def mixed_global(models, p_stage, seed=0, N=2):
         ca.F = np.zeros((N * p_stage, ca.n))
         agents.append(ca)
     return GlobalQP(agents=agents, b=np.zeros(N * p_stage), p_stage=p_stage,
-                    N=N, stage_Eu=[], stage_Ex=[], bbar=np.zeros(p_stage))
+                    N=N, stage_Eu=np.zeros((p_stage, sum(a.m for a in models))),
+                    stage_Ex=np.zeros((p_stage, sum(a.n for a in models))),
+                    bbar=np.zeros(p_stage))
 
 
 def per_agent_solves(g, x, lam, warm=None):

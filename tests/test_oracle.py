@@ -13,6 +13,12 @@ from test_coordinator import stub_global
 
 
 class TestSolveCentralized:
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0])
+    def test_rejects_eps_not_finite_nonnegative(self, formation3_global, eps):
+        s, g = formation3_global
+        with pytest.raises(ValueError, match="eps"):
+            solve_centralized(g, s.x0_stacked(), eps)
+
     def test_origin_is_free(self, pair_global):
         s, g = pair_global
         sol = solve_centralized(g, np.zeros(2), s.epsilon)
@@ -24,9 +30,8 @@ class TestSolveCentralized:
         # H=2, G=1, E=1, b=0.1, x=-2, eps=0.5: stationarity 2u + x + lam = 0
         # and u = b + eps lam at the active coupling row give
         # lam* = 0.9, u* = 0.55.
-        g = stub_global([np.array([[2.0]])], [np.array([[1.0]])], b=[0.1])
-        g.agents[0].G = np.array([[1.0]])
-        g.agents[0].W = np.array([[2.0]])
+        g = stub_global([np.array([[2.0]])], [np.array([[1.0]])], b=[0.1],
+                        G=1.0, W=2.0)
         x = np.array([-2.0])
         sol = solve_centralized(g, x, 0.5)
         assert sol.lam[0] == pytest.approx(0.9, abs=1e-9)
@@ -35,9 +40,8 @@ class TestSolveCentralized:
 
     def test_scalar_hand_kkt_unregularized(self):
         # same instance at eps=0: u* = 0.1 pinned by the row, lam* = 1.8
-        g = stub_global([np.array([[2.0]])], [np.array([[1.0]])], b=[0.1])
-        g.agents[0].G = np.array([[1.0]])
-        g.agents[0].W = np.array([[2.0]])
+        g = stub_global([np.array([[2.0]])], [np.array([[1.0]])], b=[0.1],
+                        G=1.0, W=2.0)
         x = np.array([-2.0])
         sol = solve_centralized(g, x, 0.0)
         assert sol.u[0] == pytest.approx(0.1, abs=1e-10)
