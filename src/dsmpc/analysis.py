@@ -80,8 +80,9 @@ def suboptimality_curve(g, x, lam0, ell_max, eps, alpha=None):
         alpha = default_step(lipschitz_constant(g, eps))
     lam0 = np.zeros(g.n_dual) if lam0 is None else np.asarray(lam0, dtype=float)
     star = solve_centralized(g, x, eps)
-    psi_star = dual_cost(star.lam, x, g, eps)
-    run = run_ada(lam0, x, ell_max, g, eps, alpha=alpha, record_cost=True)
+    warm = star.nu > 0.0  # the oracle's active sets: warm starts, speed only
+    psi_star = dual_cost(star.lam, x, g, eps, warm=warm)
+    run = run_ada(lam0, x, ell_max, g, eps, alpha=alpha, record_cost=True, warm=warm)
     dist2 = float(np.linalg.norm(lam0 - star.lam) ** 2)
     ells = np.arange(1, ell_max + 1)
     gaps = run.dual_costs - psi_star
@@ -172,18 +173,13 @@ def regularization_sweep(g, states, eps_list):
         kappa = g.first_inputs(sol0.u)
         theory[i] = float(np.linalg.norm(sol0.lam)) / np.sqrt(mu) / nx
         for j, eps in enumerate(eps_list):
-            kappa_eps = recovered_law(g, x, solve_centralized(g, x, eps).lam)
+            sol = solve_centralized(g, x, eps)
+            kappa_eps = recovered_law(g, x, sol.lam, sol.nu > 0.0)
             ratios[i, j] = float(np.linalg.norm(kappa - kappa_eps)) / nx
-    logs_e, logs_r = [], []
-    for i in range(len(states)):
-        for j, eps in enumerate(eps_list):
-            if ratios[i, j] > 1e-13:
-                logs_e.append(np.log10(eps))
-                logs_r.append(np.log10(ratios[i, j]))
-    if len(logs_e) >= 2:
-        slope = float(np.polyfit(logs_e, logs_r, 1)[0])
-    else:
-        slope = 0.0
+    keep = ratios > 1e-13
+    logs_e = np.log10(np.broadcast_to(np.asarray(eps_list, dtype=float), ratios.shape))
+    slope = float(np.polyfit(logs_e[keep], np.log10(ratios[keep]), 1)[0]) \
+        if keep.sum() >= 2 else 0.0
     root_eps = np.sqrt(np.asarray(eps_list, dtype=float))
     envelope = float(np.max(ratios / root_eps[None, :])) if ratios.size else 0.0
     bounds = theory[:, None] * root_eps[None, :]

@@ -175,19 +175,13 @@ def cmd_sweep(args):
     seeds = [int(v) for v in str(args.seeds).split(",") if v != ""] or [None]
     grid = [(ell, eps, seed) for ell in iters for eps in eps_list
             for seed in seeds]
-    results = []
+    runs = [(args.scenario, ell, eps, seed, args.steps, args.dist,
+             args.dist_bound, args.out) for ell, eps, seed in grid]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futs = [
-                pool.submit(_run_one, args.scenario, ell, eps, seed, args.steps,
-                            args.dist, args.dist_bound, args.out)
-                for ell, eps, seed in grid
-            ]
-            results = [f.result() for f in futs]
+            results = list(pool.map(_run_one, *zip(*runs)))
     else:
-        for ell, eps, seed in grid:
-            results.append(_run_one(args.scenario, ell, eps, seed, args.steps,
-                                    args.dist, args.dist_bound, args.out))
+        results = [_run_one(*run) for run in runs]
     summary = os.path.join(args.out, "sweep_summary.json")
     with open(summary, "w", encoding="utf-8") as fh:
         json.dump({"grid": results}, fh, indent=2, sort_keys=True)
@@ -219,13 +213,8 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    handlers = {
-        "check": cmd_check,
-        "solve": cmd_solve,
-        "simulate": cmd_simulate,
-        "sweep": cmd_sweep,
-        "dump": cmd_dump,
-    }
+    handlers = {"check": cmd_check, "solve": cmd_solve, "simulate": cmd_simulate,
+                "sweep": cmd_sweep, "dump": cmd_dump}
     try:
         return handlers[args.command](args)
     except SOLVER_ERRORS as exc:

@@ -138,11 +138,13 @@ def condense_agent(agent, N, index=0):
                            np.zeros((1, 0, agent.n)))[0]
 
 
-# The agents of one inner-problem shape (n, nu, k) in a GlobalQP: their
-# indices, their (len, nu) positions in the stacked inputs, (len, k) in the
-# stacked local rows and (len, n) in the stacked states, and their stacked
-# H_i, C_i, H_i^-1, G_i, D_i and c_i.
-ShapeGroup = namedtuple("ShapeGroup", "idx u_rows r_rows P A Pinv x_rows G D c")
+# The agents of one inner-problem shape (n, nu, k) in a GlobalQP: indices,
+# (len, nu) positions in the stacked inputs, (len, k) in the stacked local
+# rows and (len, n) in the stacked states; stacked KKT matrices
+# [H_i C_i'; C_i 0], blkdiag(H_i, W_i), G_i, D_i, c_i; and the laws of the
+# rounds, padded to (nu+k) x (nu+k), with the (len, k) masks of their sets.
+ShapeGroup = namedtuple("ShapeGroup",
+                        "idx u_rows r_rows x_rows K HW G D c laws law_mask")
 
 
 @dataclass
@@ -152,7 +154,8 @@ class GlobalQP:
     `stage_Eu` (p x sum m_i) and `stage_Ex` (p x sum n_i) are the stage
     coupling blocks side by side.  Built at construction from the agents'
     blocks: `E_all` = [E_1 ... E_M] and `F_all` = [F_1 ... F_M]; `groups`,
-    one ShapeGroup per inner-problem shape; and `coupling_norms`, per agent
+    one ShapeGroup per inner-problem shape, whose laws and masks the
+    coordinator's rounds keep up to date; and `coupling_norms`, per agent
     ||E_i H_i^{-1} E_i'||, the top eigenvalue of the nu x nu Gram matrix
     W W' = L^{-1} E_i' E_i L^{-T} on the agent's Cholesky factor (W' W has
     the same nonzero eigenvalues), one batched eigvalsh per group.
@@ -172,6 +175,7 @@ class GlobalQP:
     E_all: np.ndarray = field(init=False, repr=False, compare=False)
     F_all: np.ndarray = field(init=False, repr=False, compare=False)
     groups: list = field(init=False, repr=False, compare=False)
+    first_rows: np.ndarray = field(init=False, repr=False, compare=False)
     oracle_ws: object = field(default=None, init=False, repr=False,
                               compare=False)
 
@@ -180,6 +184,8 @@ class GlobalQP:
         self.F_all = np.hstack([ca.F for ca in self.agents])
         u_off, x_off = self.input_offsets(), self.state_offsets()
         r_off = np.cumsum([0] + [ca.qp.k for ca in self.agents])
+        self.first_rows = np.concatenate([o + np.arange(ca.m) for o, ca in
+                                          zip(u_off, self.agents)])
         shapes = {}
         for i, ca in enumerate(self.agents):
             shapes.setdefault((ca.n, ca.nu, ca.qp.k), []).append(i)
@@ -190,12 +196,19 @@ class GlobalQP:
             E, Linv = stack("E"), np.linalg.inv(stack("qp.chol"))
             WWt = Linv @ (E.transpose(0, 2, 1) @ E) @ Linv.transpose(0, 2, 1)
             norms[idx] = np.linalg.eigvalsh(WWt)[:, -1]
+            H, C = stack("qp.P"), stack("qp.A")
+            K, laws = np.zeros((2, len(idx), nu + k, nu + k))
+            HW = np.zeros((len(idx), nu + n, nu + n))
+            K[:, :nu, :nu], K[:, :nu, nu:], K[:, nu:, :nu] = \
+                H, C.transpose(0, 2, 1), C
+            HW[:, :nu, :nu], HW[:, nu:, nu:] = H, stack("W")
+            laws[:, :nu, :nu] -= stack("qp.Pinv")
             self.groups.append(ShapeGroup(
                 idx, u_off[idx][:, None] + np.arange(nu),
                 r_off[idx][:, None] + np.arange(k),
-                stack("qp.P"), stack("qp.A"), stack("qp.Pinv"),
-                x_off[idx][:, None] + np.arange(n),
-                stack("G"), stack("D"), stack("c")))
+                x_off[idx][:, None] + np.arange(n), K, HW,
+                stack("G"), stack("D"), stack("c"), laws,
+                np.zeros((len(idx), k), dtype=bool)))
         self.coupling_norms = norms.tolist()
 
     @property
@@ -226,19 +239,20 @@ class GlobalQP:
         off = self.state_offsets()
         return [x[off[i]:off[i + 1]] for i in range(len(self.agents))]
 
-    def split_inputs(self, u):
+    def _inputs(self, u):
         u = np.asarray(u, dtype=float)
-        off = self.input_offsets()
-        if u.size != off[-1]:
-            raise DimensionError(
-                f"input trajectory has length {u.size}, expected {off[-1]}"
-            )
+        if u.size != self.E_all.shape[1]:
+            raise DimensionError(f"input trajectory has length {u.size}, "
+                                 f"expected {self.E_all.shape[1]}")
+        return u
+
+    def split_inputs(self, u):
+        u, off = self._inputs(u), self.input_offsets()
         return [u[off[i]:off[i + 1]] for i in range(len(self.agents))]
 
     def first_inputs(self, u):
         """First-stage input blocks of a stacked input trajectory."""
-        return np.concatenate([ui[: ca.m] for ca, ui in
-                               zip(self.agents, self.split_inputs(u))])
+        return self._inputs(u)[self.first_rows]
 
     def state_terms(self, x):
         """The parts of the inner problems fixed by a measured state x: the

@@ -9,11 +9,13 @@ whose minimizer's first stage is the input agent i applies.  One round:
 every agent solves its inner QP at the broadcast price lambda_j, the
 coordinator gathers the aggregate coupling image sum_i F_i x_i + E_i u_i,
 takes a projected gradient step with momentum extrapolation on the
-regularized dual, and broadcasts the new price.  A round is batched: the
-broadcast is one product Gx + E_all' lambda, the trivial test runs once per
-agent shape, only the agents it refuses go to `DenseQP.constrained`, and the
-gather is one product E_all u.  The regularized dual cost
-evaluated here is
+regularized dual, and broadcasts the new price.  A round is a batched
+piecewise-affine map: one broadcast product Gx + E_all' lambda, one
+qpcore.law_test per shape group on the affine laws of the agents' warm
+active sets (rebuilt only where a set changed), DenseQP.fallback for the
+agents it refuses, and one gather product E_all u.  Rounds keep arrays;
+`inner_solves` makes QPResults at the API boundary.  The regularized dual
+cost evaluated here is
 
     psi_eps(lam, x) = sum_i (h_i(., x_i))*(-E_i' lam) + (eps/2) ||lam||^2
                       + lam' (b - sum_i F_i x_i),      lam >= 0,
@@ -23,12 +25,18 @@ drift term and the eps-strong convexity both come from the (eps/2) factor).
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .qpcore import QPResult, unconstrained
+from .qpcore import QPResult, law_test
+
+# A batched call's inner solves: the stacked inputs u (z_i = u_i), the local
+# multipliers nu stacked like the rows r_i, per agent the KKT residual and
+# the rounds of a cold start, and the solves per path (LAW, POLISH, COLD).
+Solves = namedtuple("Solves", "u nu res iters paths")
 
 
 def lipschitz_constant(g, eps):
@@ -44,28 +52,49 @@ def default_step(L):
     return 0.99 / L
 
 
-def inner_solves(g, terms, lam, warm=None):
+def batched_solves(g, terms, lam, warm=None):
     """Every agent's inner QP at price lam, from the state terms
-    `g.state_terms(x)`.  Returns the certified qpcore.QPResult per agent
-    (z = u_i).  `warm` may carry the results of an earlier call with nearby
-    (x, lambda); it only affects speed, never the certified result.
-
-    Raises Infeasible when an agent's {u : C_i u <= c_i - D_i x_i} is empty
-    (the state has left the feasible parameter set) and MaxIters on a
-    stall."""
+    `g.state_terms(x)`, as Solves.  `warm`, a boolean mask over the stacked
+    local rows such as an earlier Solves.nu > 0, gives the agents' warm
+    active sets (empty if None); neither it nor the laws the groups kept
+    change the certified result.  Raises Infeasible when an agent's
+    {u : C_i u <= c_i - D_i x_i} is empty (the state has left the feasible
+    parameter set) and MaxIters on a stall."""
     Gx, r, _ = terms
     q = Gx + g.E_all.T @ np.asarray(lam, dtype=float)
-    out = [None] * len(g.agents)
-    for idx, u_rows, r_rows, P, A, Pinv, *_ in g.groups:
-        qs, rs = q[u_rows], r[r_rows]
-        z = -(Pinv @ qs[..., None])[..., 0]
-        res, trivial = unconstrained(P, A, z, qs, rs)
-        nu = np.zeros(rs.shape)
-        for j, i in enumerate(idx):
-            out[i] = QPResult(z[j], nu[j], (), float(res[j]), 0) if trivial[j] \
-                else g.agents[i].qp.constrained(
-                    qs[j], rs[j], None if warm is None else warm[i].active)
-    return out
+    M = len(g.agents)
+    u, nu, res = np.empty(q.size), np.empty(r.size), np.empty(M)
+    iters, paths = np.zeros(M, dtype=int), np.array([M, 0, 0])
+    for grp in g.groups:
+        qs, rs = q[grp.u_rows], r[grp.r_rows]
+        mask = np.zeros_like(grp.law_mask) if warm is None else warm[grp.r_rows]
+        if mask.tobytes() != grp.law_mask.tobytes():
+            for j in np.flatnonzero((mask != grp.law_mask).any(1)):
+                qp = g.agents[grp.idx[j]].qp
+                (rows, *_), law = qp._law(tuple(np.flatnonzero(mask[j]).tolist()))
+                at = np.concatenate([np.arange(qp.n), qp.n + np.asarray(rows, int)])
+                grp.laws[j] = 0.0
+                grp.laws[j][np.ix_(at, at)] = law
+                grp.law_mask[j] = mask[j]
+        z, nus, rg, ok = law_test(grp.K, grp.laws, qs, rs)
+        for j in ([] if ok.all() else np.flatnonzero(~ok)):
+            i = grp.idx[j]
+            z[j], nus[j], rg[j], iters[i], path = g.agents[i].qp.fallback(
+                qs[j], rs[j], tuple(np.flatnonzero(mask[j]).tolist()))
+            paths[[0, path]] += (-1, 1)
+        u[grp.u_rows], nu[grp.r_rows], res[grp.idx] = z, nus, rg
+    return Solves(u, nu, res, iters, paths)
+
+
+def inner_solves(g, terms, lam, warm=None):
+    """`batched_solves` at the API boundary: one certified qpcore.QPResult
+    per agent (z = u_i); `warm` may carry the results of an earlier call."""
+    s = batched_solves(g, terms, lam, None if warm is None else
+                       np.concatenate([sol.nu > 0.0 for sol in warm]))
+    nus = np.split(s.nu, np.cumsum([ca.qp.k for ca in g.agents])[:-1])
+    return [QPResult(z, nu, tuple(np.flatnonzero(nu > 0.0).tolist()),
+                     float(res), int(it))
+            for z, nu, res, it in zip(g.split_inputs(s.u), nus, s.res, s.iters)]
 
 
 @dataclass
@@ -73,7 +102,10 @@ class AdaRun:
     """Result of an ell-round run: final iterates plus per-round diagnostics.
     mu is the projected (feasible) iterate; lam may leave the nonnegative
     orthant through extrapolation; theta is the momentum weight; terms are
-    the state terms `g.state_terms(x)` the rounds used."""
+    the state terms `g.state_terms(x)` the rounds used; warm masks the last
+    round's active sets.  Telemetry of the rounds' inner solves: `paths`
+    counts them per path (LAW, POLISH, COLD), `active_rows` sums their
+    active-set sizes, `kkt_max` is their largest KKT residual."""
 
     lam: np.ndarray
     mu: np.ndarray
@@ -81,17 +113,20 @@ class AdaRun:
     agg_residuals: np.ndarray
     mu_steps: np.ndarray
     dual_costs: np.ndarray | None
-    warm: list
+    warm: np.ndarray | None
     iters: int
     terms: tuple
+    paths: np.ndarray
+    active_rows: int
+    kkt_max: float
 
 
 def run_ada(lam_init, x, iters, g, eps, alpha=None, record_cost=False,
             warm=None):
     """Apply `iters` rounds from the standard initialization (mu_0 = lam_0,
     theta_0 = 1).  With iters == 0 the input price is returned unchanged.
-    `warm` takes the per-agent inner solves of an earlier run (`AdaRun.warm`)
-    as warm starts; the closed loop chains its sampling times this way.
+    `warm` takes the active-set mask of an earlier run (`AdaRun.warm`) as
+    warm starts; the closed loop chains its sampling times this way.
     alpha must be finite and > 0 (default 0.99 / L), eps finite and >= 0.
 
     Diagnostics: per-round aggregate violation norm ||(agg - b)_+||, projected
@@ -109,31 +144,37 @@ def run_ada(lam_init, x, iters, g, eps, alpha=None, record_cost=False,
     mu, theta = lam.copy(), 1.0
     terms = g.state_terms(x)
 
-    agg_res = np.zeros(iters)
-    mu_steps = np.zeros(iters)
+    agg_res, mu_steps = np.zeros(iters), np.zeros(iters)
     costs = np.zeros(iters) if record_cost else None
-    solves = warm
+    paths, active_rows, kkt = np.zeros(3, dtype=int), 0, np.zeros(len(g.agents))
     for j in range(iters):
-        solves = inner_solves(g, terms, lam, solves)
-        agg = terms[2] + g.E_all @ np.concatenate([sol.z for sol in solves])
-        mu_next = np.maximum(lam + alpha * (agg - g.b - eps * lam), 0.0)
+        s = batched_solves(g, terms, lam, warm)
+        warm = s.nu > 0.0
+        paths += s.paths
+        active_rows += np.count_nonzero(warm)
+        np.maximum(kkt, s.res, out=kkt)
+        viol = terms[2] + g.E_all @ s.u - g.b
+        mu_next = np.maximum(lam + alpha * (viol - eps * lam), 0.0)
         theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
-        lam = mu_next + ((theta - 1.0) / theta_next) * (mu_next - mu)
-        agg_res[j] = float(np.linalg.norm(np.maximum(agg - g.b, 0.0)))
-        mu_steps[j] = float(np.linalg.norm(mu_next - mu))
+        step = mu_next - mu
+        lam = mu_next + ((theta - 1.0) / theta_next) * step
+        viol = np.maximum(viol, 0.0)
+        agg_res[j], mu_steps[j] = math.sqrt(viol @ viol), math.sqrt(step @ step)
         mu, theta = mu_next, theta_next
         if record_cost:
-            costs[j] = _dual_cost(mu, x, g, eps, terms, solves)
+            costs[j] = _dual_cost(mu, x, g, eps, terms, warm)
     return AdaRun(lam=lam, mu=mu, theta=theta, agg_residuals=agg_res,
-                  mu_steps=mu_steps, dual_costs=costs, warm=solves, iters=iters,
-                  terms=terms)
+                  mu_steps=mu_steps, dual_costs=costs, warm=warm, iters=iters,
+                  terms=terms, paths=paths, active_rows=int(active_rows),
+                  kkt_max=float(kkt.max(initial=0.0)))
 
 
 def dual_cost(lam, x, g, eps, warm=None):
     """Regularized dual objective psi_eps(lam, x) for lam >= 0 (componentwise,
     up to -1e-12).  Conjugate terms are evaluated through the inner solves,
     each as f_i(u_i, x_i) + lambda' E_i u_i including the state-only cost
-    0.5 x_i' W_i x_i."""
+    0.5 x_i' W_i x_i.  `warm`, an active-set mask as in `batched_solves`
+    (such as an oracle solution's nu > 0), only affects speed."""
     eps = checked_eps(eps)
     lam = np.asarray(lam, dtype=float).reshape(-1)
     if lam.size and float(lam.min()) < -1e-12:
@@ -143,13 +184,15 @@ def dual_cost(lam, x, g, eps, warm=None):
 
 
 def _dual_cost(lam, x, g, eps, terms, warm):
-    """psi_eps at a nonnegative lam from the state terms of x."""
+    """psi_eps at a nonnegative lam from the state terms of x; the quadratic
+    forms 0.5 (u_i' H_i u_i + x_i' W_i x_i) are one product per group."""
     Gx, _, Fx = terms
-    u = np.concatenate([sol.z for sol in inner_solves(g, terms, lam, warm)])
+    u, x = batched_solves(g, terms, lam, warm).u, np.asarray(x, dtype=float)
     total = 0.5 * eps * float(lam @ lam) + float(lam @ (g.b - Fx)) \
         - float((Gx + g.E_all.T @ lam) @ u)
-    for ca, xi, ui in zip(g.agents, g.split_states(x), g.split_inputs(u)):
-        total -= float(0.5 * (ui @ ca.H @ ui) + 0.5 * (xi @ ca.W @ xi))
+    for grp in g.groups:
+        v = np.concatenate([u[grp.u_rows], x[grp.x_rows]], 1)
+        total -= 0.5 * float(np.vdot(v, (grp.HW @ v[..., None])[..., 0]))
     return float(total)
 
 

@@ -223,19 +223,11 @@ class AgentModel:
             P, _ = solve_dare(A, B, Q, R)
 
         return cls(
-            A=A,
-            B=B,
-            Q=Q,
-            R=R,
-            P=P,
-            input_poly=poly_of("input_poly", m),
-            state_poly=poly_of("state_poly", n),
-            terminal_poly=terminal_poly,
+            A=A, B=B, Q=Q, R=R, P=P, input_poly=poly_of("input_poly", m),
+            state_poly=poly_of("state_poly", n), terminal_poly=terminal_poly,
             terminal_equality=terminal_equality,
             disturbance_bound=d.get("disturbance_bound", np.zeros(n)),
-            x0=d.get("x0", np.zeros(n)),
-            target=target,
-            name=d.get("name", name),
+            x0=d.get("x0", np.zeros(n)), target=target, name=d.get("name", name),
         )
 
     def to_dict(self):
@@ -289,22 +281,15 @@ class CouplingSpec:
                 raise ParseError(f"coupling row {k}: references no agents")
             if not np.isfinite(row.b):
                 raise ValueError(f"coupling row {k}: bound is not finite")
-            for i, v in row.Eu.items():
-                if i < 0 or i >= len(agents):
-                    raise ParseError(f"coupling row {k}: agent index {i} out of range")
-                if v.size != agents[i].m:
-                    raise DimensionError(
-                        f"coupling row {k}: Eu block for agent {i} has length "
-                        f"{v.size}, expected {agents[i].m}"
-                    )
-            for i, v in row.Ex.items():
-                if i < 0 or i >= len(agents):
-                    raise ParseError(f"coupling row {k}: agent index {i} out of range")
-                if v.size != agents[i].n:
-                    raise DimensionError(
-                        f"coupling row {k}: Ex block for agent {i} has length "
-                        f"{v.size}, expected {agents[i].n}"
-                    )
+            for key, blocks, size in (("Eu", row.Eu, "m"), ("Ex", row.Ex, "n")):
+                for i, v in blocks.items():
+                    if i < 0 or i >= len(agents):
+                        raise ParseError(
+                            f"coupling row {k}: agent index {i} out of range")
+                    if v.size != getattr(agents[i], size):
+                        raise DimensionError(
+                            f"coupling row {k}: {key} block for agent {i} has "
+                            f"length {v.size}, expected {getattr(agents[i], size)}")
 
     def stage_matrices(self, agents):
         """The stage blocks side by side in agent order: Eu (p, sum m_i) and
@@ -556,60 +541,41 @@ def validate_assumptions(scenario):
             report.checks.append(AssumptionCheck(idx, "stabilizable", True))
         except (NoConvergence, np.linalg.LinAlgError) as exc:
             P_ric, K = None, None
-            report.checks.append(
-                AssumptionCheck(idx, "stabilizable", False, str(exc))
-            )
+            report.checks.append(AssumptionCheck(idx, "stabilizable", False, str(exc)))
 
         interior = (
             (a.input_poly.rows == 0 or np.all(a.input_poly.c > 0))
             and (a.state_poly.rows == 0 or np.all(a.state_poly.c > 0))
         )
-        report.checks.append(
-            AssumptionCheck(
-                idx, "origin_interior", bool(interior),
-                "" if interior else "origin not strictly inside the local sets",
-            )
-        )
+        report.checks.append(AssumptionCheck(
+            idx, "origin_interior", bool(interior),
+            "" if interior else "origin not strictly inside the local sets"))
 
         q_min, r_min = _min_eig(a.Q), _min_eig(a.R)
         pd = q_min > 1e-12 and r_min > 1e-12
-        report.checks.append(
-            AssumptionCheck(
-                idx, "weights_pd", bool(pd),
-                f"min eig Q={q_min:.3e}, R={r_min:.3e}",
-            )
-        )
+        report.checks.append(AssumptionCheck(
+            idx, "weights_pd", bool(pd), f"min eig Q={q_min:.3e}, R={r_min:.3e}"))
 
         if a.terminal_equality:
-            report.checks.append(
-                AssumptionCheck(
-                    idx, "terminal_decrease", True,
-                    "terminal equality constraint; P = 0 is valid",
-                )
-            )
+            report.checks.append(AssumptionCheck(
+                idx, "terminal_decrease", True,
+                "terminal equality constraint; P = 0 is valid"))
         elif K is not None:
             P = a.P if _min_eig(a.P) > 0 else P_ric
             Acl = a.A - a.B @ K
             resid = Acl.T @ P @ Acl - P + a.Q + K.T @ a.R @ K
             top = float(np.linalg.eigvalsh(0.5 * (resid + resid.T)).max())
-            report.checks.append(
-                AssumptionCheck(
-                    idx, "terminal_decrease", top <= TERMINAL_TOL,
-                    f"max eig of decrease residual = {top:.3e}",
-                )
-            )
+            report.checks.append(AssumptionCheck(
+                idx, "terminal_decrease", top <= TERMINAL_TOL,
+                f"max eig of decrease residual = {top:.3e}"))
             if a.terminal_poly.rows:
                 report.warnings.append(
                     f"agent {idx}: invariance of the supplied terminal polytope "
                     "is taken on faith"
                 )
         else:
-            report.checks.append(
-                AssumptionCheck(
-                    idx, "terminal_decrease", False,
-                    "no Riccati solution available",
-                )
-            )
+            report.checks.append(AssumptionCheck(
+                idx, "terminal_decrease", False, "no Riccati solution available"))
     return report
 
 

@@ -11,11 +11,11 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from .condense import condense_scenario, eval_condensed_cost
-from .coordinator import checked_eps, inner_solves
+from .coordinator import batched_solves, checked_eps
 from .errors import NoConvergence
 from .model import shift_to_target
 from .plant import plant_step
-from .qpcore import DenseQP
+from .qpcore import DenseQP, kkt_verdict
 
 ORACLE_TOL = 1e-9
 
@@ -34,35 +34,16 @@ class OracleSolution:
 
     def to_dict(self):
         """Solution dump in the scenario-file matrix encoding."""
-        return {
-            "u": self.u.tolist(),
-            "lam": self.lam.tolist(),
-            "nu": self.nu.tolist(),
-            "kkt_residual": self.kkt_residual,
-            "value": self.value,
-            "epsilon": self.epsilon,
-            "dual_maybe_nonunique": self.dual_maybe_nonunique,
-        }
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v
+                for k, v in vars(self).items()}
 
 
 def _reg_kkt_residual(H_all, q, C_loc, r_loc, E_all, b_eff, u, nu, lam, eps):
     """KKT residual of the regularized problem with the relaxation variable
     eliminated (coupling rows read E u <= b_eff + eps * lam)."""
-    stat = H_all @ u + q + C_loc.T @ nu
-    if lam.size:
-        stat = stat + E_all.T @ lam
-    res = float(np.max(np.abs(stat)))
-    s_loc = r_loc - C_loc @ u
-    if s_loc.size:
-        res = max(res, float(max(0.0, -s_loc.min())))
-        res = max(res, float(max(0.0, -nu.min())) if nu.size else 0.0)
-        res = max(res, float(np.max(np.abs(nu * s_loc))) if nu.size else 0.0)
-    if lam.size:
-        s_cpl = b_eff + eps * lam - E_all @ u
-        res = max(res, float(max(0.0, -s_cpl.min())))
-        res = max(res, float(max(0.0, -lam.min())))
-        res = max(res, float(np.max(np.abs(lam * s_cpl))))
-    return res
+    stat = H_all @ u + q + C_loc.T @ nu + E_all.T @ lam
+    slack = np.concatenate([r_loc - C_loc @ u, b_eff + eps * lam - E_all @ u])
+    return float(kkt_verdict(stat, slack, np.concatenate([nu, lam]))[0])
 
 
 class _Workspace:
@@ -151,16 +132,17 @@ def feedback_laws(g, x, eps):
     """(exact MPC law, regularized law) at state x.  The exact law extracts
     the first input block of the primal; the regularized law is recovered
     from the regularized dual through the agents' inner problems."""
-    x = np.asarray(x, dtype=float)
-    kappa = g.first_inputs(solve_centralized(g, x, 0.0).u)
-    return kappa, recovered_law(g, x, solve_centralized(g, x, eps).lam)
+    x, sol = np.asarray(x, dtype=float), solve_centralized(g, x, eps)
+    return g.first_inputs(solve_centralized(g, x, 0.0).u), \
+        recovered_law(g, x, sol.lam, sol.nu > 0.0)
 
 
-def recovered_law(g, x, lam):
+def recovered_law(g, x, lam, warm=None):
     """First-stage inputs recovered from the coupling price lam through the
-    agents' inner problems."""
-    return np.concatenate([sol.z[: ca.m] for ca, sol in
-                           zip(g.agents, inner_solves(g, g.state_terms(x), lam))])
+    agents' inner problems; `warm`, an active-set mask as in
+    `coordinator.batched_solves` (such as the nu > 0 of the oracle solution
+    that gave lam), only affects speed."""
+    return g.first_inputs(batched_solves(g, g.state_terms(x), lam, warm).u)
 
 
 def simulate_optimal_closed_loop(scenario, steps=None, eps=0.0):

@@ -11,31 +11,29 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .condense import condense_scenario
-from .coordinator import (default_step, inner_solves, lipschitz_constant,
+from .coordinator import (batched_solves, default_step, lipschitz_constant,
                           run_ada)
 from .errors import DimensionError, Infeasible, UnknownKind
 from .model import shift_to_target
 
 
 def plant_step(x, u, d, agents):
-    """Blockwise affine update x+ = A x + B u + d across all agents."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    d = np.asarray(d, dtype=float)
-    n_total = sum(a.n for a in agents)
-    m_total = sum(a.m for a in agents)
+    """Blockwise affine update x+ = A x + B u + d across all agents, batched
+    over the agents of each shape (n, m)."""
+    x, u, d = (np.asarray(v, dtype=float) for v in (x, u, d))
+    shapes = {}
+    for i, a in enumerate(agents):
+        shapes.setdefault(a.B.shape, []).append(i)
+    off = np.cumsum([(0, 0)] + [a.B.shape for a in agents], axis=0)
+    n_total, m_total = off[-1]
     if x.size != n_total or u.size != m_total or d.size != n_total:
-        raise DimensionError(
-            f"plant_step: got sizes x={x.size}, u={u.size}, d={d.size}, "
-            f"expected x=d={n_total}, u={m_total}"
-        )
-    out = np.empty(n_total)
-    ox = ou = 0
-    for a in agents:
-        out[ox:ox + a.n] = a.A @ x[ox:ox + a.n] + a.B @ u[ou:ou + a.m] \
-            + d[ox:ox + a.n]
-        ox += a.n
-        ou += a.m
+        raise DimensionError(f"plant_step: got sizes x={x.size}, u={u.size}, "
+                             f"d={d.size}, expected x=d={n_total}, u={m_total}")
+    out = d.copy()
+    for (n, m), idx in shapes.items():
+        xr, ur = off[idx, :1] + np.arange(n), off[idx, 1:] + np.arange(m)
+        A, B = (np.array([getattr(agents[i], k) for i in idx]) for k in "AB")
+        out[xr] += (A @ x[xr][..., None] + B @ u[ur][..., None])[..., 0]
     return out
 
 
@@ -97,6 +95,9 @@ class ClosedLoopTrace:
     infeasible_at: int | None = None
     # per step, one (j, ||(agg - b)_+||, ||mu_j - mu_{j-1}||) per round
     dual_diagnostics: list = field(default_factory=list)
+    # totals over the inner solves of rounds and input recovery: per path, LP
+    # certificates (a run stops at its first), active rows, largest residual
+    inner_solves: dict = field(default_factory=dict)
 
     @property
     def steps(self):
@@ -150,6 +151,7 @@ class ClosedLoopTrace:
             "infeasible_at": self.infeasible_at,
             "targets": self.targets.tolist(),
             "total_wall_clock": float(self.wall_clock.sum()),
+            "inner_solves": self.inner_solves,
         }
 
     def save(self, csv_path, meta_path=None):
@@ -186,37 +188,35 @@ def simulate_closed_loop(scenario, ell=None, steps=None, dist=None, alpha=None):
             f"{shifted.n_total}"
         )
     xbar, ubar = shifted.shift
-    agents = shifted.agents
     n, m = shifted.n_total, shifted.m_total
 
-    states = np.zeros((steps + 1, n))
-    inputs = np.zeros((steps, m))
-    prices = np.zeros((steps, g.n_dual))
-    viols = np.zeros((steps, g.p_stage))
-    clocks = np.zeros(steps)
-    diag = []
+    states, inputs = np.zeros((steps + 1, n)), np.zeros((steps, m))
+    prices, viols = np.zeros((steps, g.n_dual)), np.zeros((steps, g.p_stage))
+    clocks, diag = np.zeros(steps), []
 
     x = shifted.x0_stacked()
     lam = np.zeros(g.n_dual)
     states[0] = x + xbar
-    warm = None
-    infeasible_at = None
+    warm = infeasible_at = None
     eps = shifted.epsilon
+    paths, active_rows, kkt_max = np.zeros(3, dtype=int), 0, 0.0
 
     for t in range(steps):
         tic = time.perf_counter()
         try:
             run = run_ada(lam, x, ell, g, eps, alpha=alpha, warm=warm)
             lam = run.lam
-            warm = inner_solves(g, run.terms, lam, run.warm)
+            rec = batched_solves(g, run.terms, lam, run.warm)
         except Infeasible:
             infeasible_at = t
             break
-        u_first = np.concatenate([sol.z[: ca.m]
-                                  for ca, sol in zip(g.agents, warm)])
+        warm = rec.nu > 0.0
+        paths += run.paths + rec.paths
+        active_rows += run.active_rows + int(np.count_nonzero(warm))
+        kkt_max = max(kkt_max, run.kkt_max, float(rec.res.max(initial=0.0)))
+        u_first = g.first_inputs(rec.u)
         viols[t] = g.stage_violation(x, u_first)
-        d_t = d_seq[t]
-        x_next = plant_step(x, u_first, d_t, agents)
+        x_next = plant_step(x, u_first, d_seq[t], shifted.agents)
         clocks[t] = time.perf_counter() - tic
         prices[t] = lam
         inputs[t] = u_first + ubar
@@ -228,8 +228,7 @@ def simulate_closed_loop(scenario, ell=None, steps=None, dist=None, alpha=None):
     if infeasible_at is not None:
         t = infeasible_at
         states = states[: t + 1]
-        inputs, prices, viols = inputs[:t], prices[:t], viols[:t]
-        clocks = clocks[:t]
+        inputs, prices, viols, clocks = inputs[:t], prices[:t], viols[:t], clocks[:t]
 
     return ClosedLoopTrace(
         states=states, inputs=inputs, prices=prices,
@@ -238,4 +237,7 @@ def simulate_closed_loop(scenario, ell=None, steps=None, dist=None, alpha=None):
         seed=dist.seed, scenario_digest=scenario.digest(),
         targets=scenario.targets_stacked(), infeasible_at=infeasible_at,
         dual_diagnostics=diag,
+        inner_solves=dict(zip(("law", "polish", "cold"), paths.tolist()),
+                          lp_certificate=int(infeasible_at is not None),
+                          active_rows=active_rows, kkt_max=kkt_max),
     )

@@ -2,21 +2,22 @@
 
     min_z  0.5 z' P z + q' z   s.t.   A z <= r,      P positive definite.
 
-P = L L' and V = L^-1 A' are computed once.  The one trivial test,
-`unconstrained`, takes one QP or a stack of one shape (the coordinator's
-batched round); a QP it refuses goes to `DenseQP.constrained`, the
-Goldfarb-Idnani dual active-set method (Math. Prog. 27, 1983) on the cached
-factor, which solves only the Schur systems of the active rows.  That tries,
-in order, the affine law of the caller's warm active set a, on which
-(z, w) = M_a (q, r_a) (the law of explicit MPC; the law of the last warm set
-is kept); the active-set polish from the warm set; and Goldfarb-Idnani from
-the empty set.  A solution is accepted only when its KKT residual
-(stationarity, feasibility, sign, complementarity) is below TOL, so the
-certificate is independent of the path.  Emptiness of the constraint set is
-certified with a feasibility LP before Infeasible is raised."""
+P = L L' and V = L^-1 A' are computed once.  On a fixed active set a the
+solution is affine in the data, (z, nu_a) = M_a (q, r_a), the law of
+explicit MPC, and `DenseQP._law` builds M_a from the set alone; the law of
+the empty set is z = -P^-1 q.  `DenseQP.solve` applies the law of the warm
+set (of the empty set if none) and `law_test` the padded laws of a stack of
+one shape (the coordinator's round); both accept by `kkt_verdict`, the full
+KKT residual (stationarity, feasibility, sign, complementarity) below TOL.
+A refused QP goes to `DenseQP.fallback`: the active-set polish from the
+warm set, then the Goldfarb-Idnani dual active-set method (Math. Prog. 27,
+1983) from the empty set, both on the cached factor and accepted by the
+same verdict, so the certificate is independent of the path.  Emptiness of
+the constraint set is certified with a feasibility LP before Infeasible is
+raised."""
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dpotrs, dpstrf, dtrtrs
@@ -27,6 +28,7 @@ from .errors import Infeasible, MaxIters
 TOL = 1e-9              # KKT residual accepted as a solution
 POLISH_ROUNDS = 40      # active-set refinements from a warm set
 PIVOT_TOL = 1e-10       # relative Schur pivot below which a row is dependent
+LAW, POLISH, COLD = range(3)  # the path a certified solution took
 
 
 @dataclass
@@ -38,14 +40,29 @@ class QPResult:
     iters: int          # Goldfarb-Idnani rounds of a cold start, else 0
 
 
-def unconstrained(P, A, z, q, r):
-    """The trivial test of z = -P^-1 q on one QP or a stack (leading axis):
-    the KKT residual with nu = 0, max(||P z + q||_inf, -min(r - A z)), and
-    whether it is at most TOL."""
-    slack = r - (A @ z[..., None])[..., 0]
-    res = np.maximum(np.abs((P @ z[..., None])[..., 0] + q).max(-1),
-                     -slack.min(-1, initial=np.inf))
-    return res, res <= TOL
+@lru_cache
+def _bounds(n, k):
+    """`kkt_verdict`'s bounds, as a read-only view (the cache shares it)."""
+    return np.broadcast_to(np.repeat([TOL, 0.1 * TOL, 0, TOL], [n, k, k, k]), n + 3 * k)
+
+
+def kkt_verdict(stat, slack, nu):
+    """(res, ok) of one QP's candidate or a stack's (leading axis), from its
+    stationarity P z + q + A' nu, slack r - A z and multipliers nu: res is
+    the KKT residual; ok says res <= TOL, slack >= -0.1 TOL and nu >= 0."""
+    e = np.concatenate([np.abs(stat), -slack, -nu, np.abs(nu * slack)], -1)
+    return e.max(-1), (e <= _bounds(stat.shape[-1], nu.shape[-1])).all(-1)
+
+
+def law_test(K, M, q, r):
+    """(z, nu, res, ok) of the padded laws M (g, n+k, n+k) applied to a
+    stack of QPs of one shape with KKT matrices K = [P A'; A 0]: one
+    product for (z, nu), one for the residual, then `kkt_verdict`."""
+    n = q.shape[-1]
+    zn = (M @ np.concatenate([q, r], -1)[..., None])[..., 0]
+    kz = (K @ zn[..., None])[..., 0]
+    res, ok = kkt_verdict(kz[..., :n] + q, r - kz[..., n:], zn[..., n:])
+    return zn[..., :n], zn[..., n:], res, ok
 
 
 def _cho_solve(U, b):
@@ -67,7 +84,7 @@ class DenseQP:
         self.n = P.shape[0]
         self.k = self.A.shape[0]
         self.V = dtrtrs(self.chol, self.A.T, lower=1)[0]  # L^-1 A'
-        self.law = None  # (sorted warm set, its _independent rows, M)
+        self.law = None  # (warm set, its _independent rows, law)
 
     @cached_property
     def Pinv(self):
@@ -75,14 +92,8 @@ class DenseQP:
         return dpotrs(self.chol, np.eye(self.n), lower=1)[0]
 
     def _certify_infeasible(self, r):
-        res = linprog(
-            c=np.zeros(self.n),
-            A_ub=self.A,
-            b_ub=r,
-            bounds=[(None, None)] * self.n,
-            method="highs",
-        )
-        return res.status == 2
+        return linprog(np.zeros(self.n), A_ub=self.A, b_ub=r, bounds=(None, None),
+                       method="highs").status == 2
 
     def _independent(self, active):
         """The rows of `active` left after a pivoted Cholesky of
@@ -95,15 +106,12 @@ class DenseQP:
         return [active[i] for i in keep], Va[:, keep], U[:rank, :rank]
 
     def _accept(self, q, z, rows, w, iters, slack):
-        """The QPResult of z with multipliers w on `rows` and slack r - A z,
-        if its KKT residual is at most TOL, else None."""
+        """(z, nu, residual, iters) for z with multipliers w on `rows` and
+        slack r - A z, if `kkt_verdict` accepts it, else None."""
         nu = np.zeros(self.k)
         nu[rows] = w
-        res = float(max(np.abs(self.P @ z + q + self.A.T @ nu).max(),
-                        -slack.min(initial=np.inf), -nu.min(initial=np.inf),
-                        np.abs(nu * slack).max(initial=0.0)))
-        active = tuple(np.flatnonzero(nu > 0.0).tolist())
-        return QPResult(z, nu, active, res, iters) if res <= TOL else None
+        res, ok = kkt_verdict(self.P @ z + q + self.A.T @ nu, slack, nu)
+        return (z, nu, float(res), iters) if ok else None
 
     def _law(self, key):
         """(indep, M) for the active set `key`: indep = (rows, V_rows, U) are
@@ -126,7 +134,7 @@ class DenseQP:
         most negative multiplier goes until the set is dual feasible; the
         most violated row p then enters by Goldfarb-Idnani steps, raising its
         multiplier t and dropping the row whose multiplier reaches zero
-        first.  Returns a certified QPResult, with the rounds it took, or
+        first.  Returns the certified (z, nu, residual, rounds taken), or
         None."""
         y = dtrtrs(self.chol, q, lower=1)[0]
         p, t = -1, 0.0
@@ -168,37 +176,37 @@ class DenseQP:
         return None
 
     def solve(self, q, r, warm_active=None):
-        """The certified solution: the trivial return when `unconstrained`
-        accepts it, else `constrained`."""
+        """The certified solution: the law of `warm_active` (of the empty set
+        if none) when `kkt_verdict` accepts it, else `fallback`.
+        `warm_active`, a sorted tuple of distinct rows such as a
+        QPResult.active, only affects speed."""
         q = np.asarray(q, dtype=float).reshape(self.n)
         r = np.asarray(r, dtype=float).reshape(self.k)
-        z = -dpotrs(self.chol, q, lower=1)[0]
-        res, trivial = unconstrained(self.P, self.A, z, q, r)
-        if trivial:
-            return QPResult(z, np.zeros(self.k), (), float(res), 0)
-        return self.constrained(q, r, warm_active)
-
-    def constrained(self, q, r, warm_active=None):
-        """The certified solution of a QP whose unconstrained minimizer the
-        trivial test refused.  `warm_active`, a sorted tuple of distinct rows
-        such as a QPResult.active, only affects speed."""
-        if warm_active:
-            indep, M = self._law(tuple(warm_active))
-            rows = indep[0]
+        key, nu = tuple(warm_active or ()), np.zeros(self.k)
+        if key:
+            (rows, *_), M = self._law(key)
             zw = M @ np.concatenate([q, r[rows]])
-            z, w = zw[:self.n], zw[self.n:]
-            slack = r - self.A @ z
-            out = None
-            if w.min(initial=0.0) >= 0.0 and slack.min() >= -0.1 * TOL:
-                out = self._accept(q, z, rows, w, 0, slack)
-            out = out or self._polish(q, r, indep, POLISH_ROUNDS)
-            if out is not None:
-                out.iters = 0
-                return out
+            z, nu[rows] = zw[:self.n], zw[self.n:]
+        else:  # the empty set's law through the factor: no P^-1 is formed
+            z = -dpotrs(self.chol, q, lower=1)[0]
+        res, ok = kkt_verdict(self.P @ z + q + self.A.T @ nu, r - self.A @ z, nu)
+        iters = 0
+        if not ok:
+            z, nu, res, iters, _ = self.fallback(q, r, key)
+        return QPResult(z, nu, tuple(np.flatnonzero(nu > 0.0).tolist()),
+                        float(res), iters)
 
+    def fallback(self, q, r, key):
+        """The certified solution of a QP whose law test refused the law of
+        the warm set `key`: the polish from that set (unless empty), then
+        Goldfarb-Idnani from the empty set.  Returns (z, nu, residual,
+        rounds of a cold start or 0, POLISH or COLD)."""
+        out = self._polish(q, r, self._law(key)[0], POLISH_ROUNDS) if key else None
+        if out is not None:
+            return out[:3] + (0, POLISH)
         out = self._polish(q, r, self._independent([]), 4 * self.k + 40)
         if out is not None:
-            return out
+            return out + (COLD,)
         if self._certify_infeasible(r):
             raise Infeasible("constraint set is empty")
         raise MaxIters(f"QP solver stalled after {4 * self.k + 40} rounds")

@@ -4,14 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from dsmpc import coordinator, plant
+from dsmpc import plant
 from dsmpc.condense import GlobalQP, condense_agent
-from dsmpc.coordinator import inner_solves
+from dsmpc.coordinator import batched_solves, inner_solves
 from dsmpc.errors import Infeasible, MaxIters
 from dsmpc.model import (AgentModel, CouplingRow, CouplingSpec, Polytope,
                          Scenario)
 from dsmpc.oracle import recovered_law
-from dsmpc.qpcore import TOL, DenseQP, unconstrained
+from dsmpc.qpcore import TOL, DenseQP, QPResult, kkt_verdict, law_test
 
 from conftest import make_axis_agent
 from oracles import probe_qp_optimality, qp_by_enumeration
@@ -387,9 +387,9 @@ def chain_scenario(M=30, seed=0):
 
 
 class TestBatchedInnerSolves:
-    """coordinator.inner_solves batches the broadcast, the trivial test per
-    agent shape and the gather; it must return what each agent's own
-    DenseQP.solve returns."""
+    """coordinator.inner_solves batches the broadcast and one law test per
+    agent shape; it must return what each agent's own DenseQP.solve
+    returns, from any warm sets."""
 
     MODELS = [shaped_agent(1, box=0.3, seed=0), shaped_agent(1, box=0.5, seed=1),
               shaped_agent(2, box=0.2, seed=2), shaped_agent(1, seed=3),
@@ -432,35 +432,98 @@ class TestBatchedInnerSolves:
             inner_solves(g, g.state_terms(np.zeros(g.n_total)),
                          np.zeros(g.n_dual))
 
-    def test_trivial_test_checks_stationarity(self):
-        # a feasible point that is not the minimizer is refused, one QP or
-        # a stack of two
+    @pytest.mark.parametrize("wrong", ["extra", "missing", "mirrored", "all"])
+    def test_wrong_warm_sets_match_per_agent_solves(self, wrong):
+        # warm sets with rows the solution does not hold, without rows it
+        # holds, with each active row next to its mirror (dependent rows),
+        # or with every row (more rows than variables), in groups with and
+        # without local rows (k = 0): the batched path and each agent's own
+        # DenseQP.solve from the same set take the same path to the same z
+        g = mixed_global(self.MODELS, 2, seed=2)
+        rng = np.random.default_rng(8)
+        r_off = np.cumsum([0] + [ca.qp.k for ca in g.agents])
+
+        def mirrors(C):  # row i -> the agent's row -C_i, if it has one
+            return [next((j for j, cj in enumerate(C) if np.allclose(cj, -ci)), i)
+                    for i, ci in enumerate(C)]
+
+        mirror = np.concatenate([a + np.array(mirrors(ca.C), dtype=int)
+                                 for a, ca in zip(r_off[:-1], g.agents)])
+        paths = set()
+        for trial in range(30):
+            x = rng.normal(scale=0.3, size=g.n_total)
+            lam = np.abs(rng.normal(scale=trial / 5.0, size=g.n_dual))
+            terms = g.state_terms(x)
+            warm = batched_solves(g, terms, lam).nu > 0.0
+            if wrong == "extra":
+                warm |= rng.random(warm.size) < 0.3
+            elif wrong == "missing":
+                warm &= rng.random(warm.size) < 0.5
+            elif wrong == "mirrored":
+                warm[mirror[warm]] = True
+            else:
+                warm[:] = True
+            batched = inner_solves(g, terms, lam * 1.05, warm=[
+                QPResult(None, warm[a:b].astype(float), None, 0.0, 0)
+                for a, b in zip(r_off[:-1], r_off[1:])])
+            single = [ca.qp.solve(
+                ca.G @ xi + ca.E.T @ (lam * 1.05), ca.c - ca.D @ xi,
+                warm_active=tuple(np.flatnonzero(warm[a:b]).tolist()))
+                for ca, xi, a, b in zip(g.agents, g.split_states(x),
+                                        r_off[:-1], r_off[1:])]
+            self.assert_same(batched, single)
+            paths.update(len(sol.active) > 0 for sol in batched)
+        assert paths == {False, True}
+
+    def test_result_independent_of_kept_laws(self):
+        # the same (x, lam, warm) gives bit-identical z and nu whatever laws
+        # the groups kept from earlier calls, and on a fresh GlobalQP
+        g = mixed_global(self.MODELS, 2, seed=2)
+        rng = np.random.default_rng(5)
+        x = rng.normal(scale=0.3, size=g.n_total)
+        lam = np.abs(rng.normal(scale=2.0, size=g.n_dual))
+        terms = g.state_terms(x)
+        warm = batched_solves(g, terms, lam).nu > 0.0
+        assert warm.any()
+        first = batched_solves(g, terms, lam, warm)
+        for other in (None, ~warm, rng.random(warm.size) < 0.5, warm):
+            batched_solves(g, terms, 2.0 * lam, other)
+            again = batched_solves(g, terms, lam, warm)
+            assert np.array_equal(again.u, first.u)
+            assert np.array_equal(again.nu, first.nu)
+        fresh = mixed_global(self.MODELS, 2, seed=2)
+        again = batched_solves(fresh, fresh.state_terms(x), lam, warm)
+        assert np.array_equal(again.u, first.u)
+        assert np.array_equal(again.nu, first.nu)
+
+    def test_law_test_checks_stationarity(self):
+        # a feasible point that is not the minimizer is refused, for one QP
+        # (kkt_verdict) and in a stack of two (law_test)
         P, A = np.diag([2.0, 1.0]), np.eye(2)
         q, r = np.array([1.0, -1.0]), np.full(2, 5.0)
-        z = -q / np.diag(P)
-        res, ok = unconstrained(P, A, z, q, r)
-        assert ok and res <= TOL
-        res, ok = unconstrained(np.stack([P, P]), np.stack([A, A]),
-                                np.stack([z, z + 1e-6]), np.stack([q, q]),
-                                np.stack([r, r]))
+        z, nu = -q / np.diag(P), np.zeros(2)
+        for dz, accepted in ((0.0, True), (1e-6, False)):
+            res, ok = kkt_verdict(P @ (z + dz) + q, r - A @ (z + dz), nu)
+            assert bool(ok) == accepted and bool(res <= TOL) == accepted
+        K = np.block([[P, A.T], [A, np.zeros((2, 2))]])
+        law = np.zeros((4, 4))
+        law[:2, :2] = -np.linalg.inv(P)
+        zs, _, res, ok = law_test(np.stack([K, K]),
+                                  np.stack([law, (1.0 + 1e-6) * law]),
+                                  np.stack([q, q]), np.stack([r, r]))
         assert ok.tolist() == [True, False] and res[1] > TOL
+        assert np.all(r - A @ zs[1] > 0.0)  # feasible, yet refused
 
     @pytest.mark.parametrize("which", ["formation3", "chain30"])
-    def test_loop_results_certified(self, which, formation3, monkeypatch):
+    def test_loop_results_certified(self, which, formation3):
         scenario = formation3 if which == "formation3" else chain_scenario()
-        seen = []
-
-        def recording(*args, **kwargs):
-            out = inner_solves(*args, **kwargs)
-            seen.extend(out)
-            return out
-
-        monkeypatch.setattr(coordinator, "inner_solves", recording)
-        monkeypatch.setattr(plant, "inner_solves", recording)
         dist = plant.make_disturbance("uniform", 0.01 * np.ones(scenario.n_total),
                                       seed=3)
         trace = plant.simulate_closed_loop(scenario, ell=5, steps=10, dist=dist)
         assert trace.infeasible_at is None
-        assert len(seen) == 6 * 10 * len(scenario.agents)
-        assert max(sol.kkt_residual for sol in seen) <= 1e-9
-        assert any(sol.active for sol in seen)
+        tel = trace.metadata()["inner_solves"]
+        assert tel["law"] + tel["polish"] + tel["cold"] == \
+            6 * 10 * len(scenario.agents)
+        assert tel["lp_certificate"] == 0
+        assert tel["kkt_max"] <= 1e-9
+        assert tel["active_rows"] > 0

@@ -1,3 +1,5 @@
+from copy import copy
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,25 @@ class TestPlantStep:
                           formation3.agents)
         shifted = plant_step(np.ones(n), np.zeros(m), d, formation3.agents)
         assert np.allclose(shifted - base, d)
+
+    def test_mixed_shapes_match_per_agent_update(self, formation3):
+        # agents of three shapes, interleaved: the batched update equals
+        # A_i x_i + B_i u_i + d_i agent by agent
+        rng = np.random.default_rng(4)
+        agents = []
+        for n, m in [(2, 1), (3, 2), (2, 1), (2, 2), (3, 2), (2, 1)]:
+            a = copy(formation3.agents[0])
+            a.A, a.B = rng.normal(size=(n, n)), rng.normal(size=(n, m))
+            agents.append(a)
+        x, d = rng.normal(size=14), rng.normal(size=14)
+        u = rng.normal(size=9)
+        expected, ox, ou = [], 0, 0
+        for a in agents:
+            n, m = a.B.shape
+            expected.append(a.A @ x[ox:ox + n] + a.B @ u[ou:ou + m] + d[ox:ox + n])
+            ox, ou = ox + n, ou + m
+        out = plant_step(x, u, d, agents)
+        assert np.max(np.abs(out - np.concatenate(expected))) <= 1e-12
 
     def test_dimension_check(self, formation3):
         with pytest.raises(DimensionError):
