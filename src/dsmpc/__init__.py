@@ -10,8 +10,7 @@ from .analysis import (ExperimentReport, contraction_estimate, iss_experiment,
 from .condense import (CondensedAgent, GlobalQP, condense_agent,
                        condense_scenario, eval_condensed_cost)
 from .coordinator import (AdaRun, contraction_factor, default_step, dual_cost,
-                          inner_solves, lipschitz_constant, min_iterations,
-                          run_ada)
+                          lipschitz_constant, min_iterations, run_ada)
 from .errors import (DimensionError, DomainError, Infeasible, MaxIters,
                      NoConvergence, NotEquilibrium, ParseError, UnknownKind)
 from .model import (AgentModel, CouplingRow, CouplingSpec, Polytope, Scenario,

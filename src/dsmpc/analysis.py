@@ -91,7 +91,6 @@ def suboptimality_curve(g, x, lam0, ell_max, eps, alpha=None):
         "suboptimality_curve",
         {"ell_max": ell_max, "eps": eps, "alpha": alpha},
         series={"ell": ells, "gap": gaps, "bound": bounds},
-        provenance={"scenario_digest": g.digest},
     )
     worst = float(np.max(gaps - bounds))
     rep.add_check("gap_below_bound", worst <= GAP_TOL, worst, GAP_TOL)
@@ -126,7 +125,6 @@ def contraction_estimate(g, x_fixed, ell, eps, alpha=None, trials=50, seed=0,
         {"ell": ell, "eps": eps, "alpha": alpha, "trials": trials,
          "seed": seed, "eta_theory": eta, "skipped": skipped},
         series={"ratios": np.array(ratios)},
-        provenance={"scenario_digest": g.digest},
     )
     if not skipped:
         rep.add_check("eta_hat_below_eta", eta_hat <= eta + CONTRACTION_TOL,
@@ -192,7 +190,6 @@ def regularization_sweep(g, states, eps_list):
         {"eps_list": eps_list, "n_states": len(states), "mu": mu},
         series={"eps": np.asarray(eps_list), "ratios": ratios,
                 "bounds": bounds},
-        provenance={"scenario_digest": g.digest},
     )
     rep.params["fitted_slope"] = slope
     rep.params["envelope_constant"] = envelope

@@ -125,6 +125,7 @@ def cmd_solve(args):
         default_step(lipschitz_constant(g, eps))
     rep = suboptimality_curve(g, shifted.x0_stacked(), None, ell, eps,
                               alpha=alpha)
+    rep.provenance["scenario_digest"] = s.digest()  # the scenario as loaded
     jpath, cpath = rep.save(args.out, tag=f"l{ell}_e{eps:g}")
     gap = rep.series["gap"][-1]
     print(f"dual gap after {ell} rounds: {gap:.6e} "

@@ -170,7 +170,6 @@ class GlobalQP:
     stage_Eu: np.ndarray
     stage_Ex: np.ndarray
     bbar: np.ndarray
-    digest: str = ""
     coupling_norms: list = field(init=False, repr=False, compare=False)
     E_all: np.ndarray = field(init=False, repr=False, compare=False)
     F_all: np.ndarray = field(init=False, repr=False, compare=False)
@@ -294,7 +293,7 @@ def condense_scenario(scenario):
     condensed.sort(key=lambda ca: ca.index)
     bbar = scenario.coupling.bbar
     return GlobalQP(agents=condensed, b=np.tile(bbar, N), p_stage=scenario.coupling.p,
-                    N=N, stage_Eu=Eu, stage_Ex=Ex, bbar=bbar, digest=scenario.digest())
+                    N=N, stage_Eu=Eu, stage_Ex=Ex, bbar=bbar)
 
 
 def eval_condensed_cost(g, u, x):

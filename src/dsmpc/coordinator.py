@@ -12,10 +12,10 @@ takes a projected gradient step with momentum extrapolation on the
 regularized dual, and broadcasts the new price.  A round is a batched
 piecewise-affine map: one broadcast product Gx + E_all' lambda, one
 qpcore.law_test per shape group on the affine laws of the agents' warm
-active sets (rebuilt only where a set changed), DenseQP.fallback for the
-agents it refuses, and one gather product E_all u.  Rounds keep arrays;
-`inner_solves` makes QPResults at the API boundary.  The regularized dual
-cost evaluated here is
+active sets (rebuilt only where a set changed), DenseQP.solve for the
+agents it refuses, and one gather product E_all u.  `batched_solves` is the
+one inner-solve path of every caller.  The regularized dual cost evaluated
+here is
 
     psi_eps(lam, x) = sum_i (h_i(., x_i))*(-E_i' lam) + (eps/2) ||lam||^2
                       + lam' (b - sum_i F_i x_i),      lam >= 0,
@@ -31,12 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .qpcore import QPResult, law_test
+from .qpcore import law_test
 
 # A batched call's inner solves: the stacked inputs u (z_i = u_i), the local
 # multipliers nu stacked like the rows r_i, per agent the KKT residual and
 # the rounds of a cold start, and the solves per path (LAW, POLISH, COLD).
 Solves = namedtuple("Solves", "u nu res iters paths")
+LAW, POLISH, COLD = range(3)  # the path a certified inner solve took
 
 
 def lipschitz_constant(g, eps):
@@ -71,7 +72,7 @@ def batched_solves(g, terms, lam, warm=None):
         if mask.tobytes() != grp.law_mask.tobytes():
             for j in np.flatnonzero((mask != grp.law_mask).any(1)):
                 qp = g.agents[grp.idx[j]].qp
-                (rows, *_), law = qp._law(tuple(np.flatnonzero(mask[j]).tolist()))
+                (rows, *_), law = qp._law(np.flatnonzero(mask[j]).tolist())
                 at = np.concatenate([np.arange(qp.n), qp.n + np.asarray(rows, int)])
                 grp.laws[j] = 0.0
                 grp.laws[j][np.ix_(at, at)] = law
@@ -79,22 +80,11 @@ def batched_solves(g, terms, lam, warm=None):
         z, nus, rg, ok = law_test(grp.K, grp.laws, qs, rs)
         for j in ([] if ok.all() else np.flatnonzero(~ok)):
             i = grp.idx[j]
-            z[j], nus[j], rg[j], iters[i], path = g.agents[i].qp.fallback(
-                qs[j], rs[j], tuple(np.flatnonzero(mask[j]).tolist()))
-            paths[[0, path]] += (-1, 1)
+            sol = g.agents[i].qp.solve(qs[j], rs[j], np.flatnonzero(mask[j]).tolist())
+            z[j], nus[j], rg[j], iters[i] = sol.z, sol.nu, sol.kkt_residual, sol.iters
+            paths[[LAW, COLD if iters[i] else POLISH]] += (-1, 1)
         u[grp.u_rows], nu[grp.r_rows], res[grp.idx] = z, nus, rg
     return Solves(u, nu, res, iters, paths)
-
-
-def inner_solves(g, terms, lam, warm=None):
-    """`batched_solves` at the API boundary: one certified qpcore.QPResult
-    per agent (z = u_i); `warm` may carry the results of an earlier call."""
-    s = batched_solves(g, terms, lam, None if warm is None else
-                       np.concatenate([sol.nu > 0.0 for sol in warm]))
-    nus = np.split(s.nu, np.cumsum([ca.qp.k for ca in g.agents])[:-1])
-    return [QPResult(z, nu, tuple(np.flatnonzero(nu > 0.0).tolist()),
-                     float(res), int(it))
-            for z, nu, res, it in zip(g.split_inputs(s.u), nus, s.res, s.iters)]
 
 
 @dataclass

@@ -101,8 +101,6 @@ class Polytope:
 
     def shifted(self, z):
         """Polytope of w such that w + z lies in this set."""
-        if self.rows == 0:
-            return Polytope(self.C.copy(), self.c.copy())
         return Polytope(self.C.copy(), self.c - self.C @ z)
 
     def to_dict(self):
@@ -276,6 +274,8 @@ class CouplingSpec:
         return len(self.rows)
 
     def validate(self, agents):
+        """Raise on a row that names no agent, has a non-finite bound, or
+        has a block off the agents' index range or of the wrong length."""
         for k, row in enumerate(self.rows):
             if not row.agents():
                 raise ParseError(f"coupling row {k}: references no agents")
@@ -286,10 +286,10 @@ class CouplingSpec:
                     if i < 0 or i >= len(agents):
                         raise ParseError(
                             f"coupling row {k}: agent index {i} out of range")
-                    if v.size != getattr(agents[i], size):
+                    if np.size(v) != getattr(agents[i], size):
                         raise DimensionError(
                             f"coupling row {k}: {key} block for agent {i} has "
-                            f"length {v.size}, expected {getattr(agents[i], size)}")
+                            f"length {np.size(v)}, expected {getattr(agents[i], size)}")
 
     def stage_matrices(self, agents):
         """The stage blocks side by side in agent order: Eu (p, sum m_i) and
@@ -309,7 +309,7 @@ class CouplingSpec:
         return np.array([row.b for row in self.rows], dtype=float)
 
     @classmethod
-    def from_list(cls, items, agents):
+    def from_list(cls, items):
         rows = []
         for k, item in enumerate(items):
             if not isinstance(item, dict):
@@ -345,9 +345,7 @@ class CouplingSpec:
                         float(b[r]),
                     )
                 )
-        spec = cls(rows)
-        spec.validate(agents)
-        return spec
+        return cls(rows)
 
     def to_dict(self):
         out = []
@@ -388,6 +386,7 @@ class Scenario:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if self.sim_steps < 1:
             raise ValueError(f"sim_steps must be >= 1, got {self.sim_steps}")
+        self.coupling.validate(self.agents)
 
     @property
     def n_total(self):
@@ -421,7 +420,7 @@ class Scenario:
         ]
         if not agents:
             raise ValueError("scenario has no agents")
-        coupling = CouplingSpec.from_list(d.get("coupling", []), agents)
+        coupling = CouplingSpec.from_list(d.get("coupling", []))
         try:
             horizon = _scalar(d["horizon"], "horizon")
             epsilon = _scalar(d["epsilon"], "epsilon", float)

@@ -53,8 +53,7 @@ class _Workspace:
     def __init__(self, g):
         self.H_all = block_diag(*[ca.H for ca in g.agents])
         self.C_loc = block_diag(*[ca.C for ca in g.agents])
-        self.E_all = np.hstack([ca.E for ca in g.agents]) if g.n_dual else \
-            np.zeros((0, self.H_all.shape[0]))
+        self.E_all = g.E_all
         self.qps = {}
 
     def qp(self, eps):

@@ -4,17 +4,15 @@
 
 P = L L' and V = L^-1 A' are computed once.  On a fixed active set a the
 solution is affine in the data, (z, nu_a) = M_a (q, r_a), the law of
-explicit MPC, and `DenseQP._law` builds M_a from the set alone; the law of
-the empty set is z = -P^-1 q.  `DenseQP.solve` applies the law of the warm
-set (of the empty set if none) and `law_test` the padded laws of a stack of
-one shape (the coordinator's round); both accept by `kkt_verdict`, the full
-KKT residual (stationarity, feasibility, sign, complementarity) below TOL.
-A refused QP goes to `DenseQP.fallback`: the active-set polish from the
-warm set, then the Goldfarb-Idnani dual active-set method (Math. Prog. 27,
-1983) from the empty set, both on the cached factor and accepted by the
-same verdict, so the certificate is independent of the path.  Emptiness of
-the constraint set is certified with a feasibility LP before Infeasible is
-raised."""
+explicit MPC; `DenseQP._law` builds M_a from the set alone and `law_test`
+applies the padded laws of a stack of one shape (the coordinator's round).
+`DenseQP.solve` is the one certified solve of a single QP: the active-set
+polish from the warm set, then the Goldfarb-Idnani dual active-set method
+(Math. Prog. 27, 1983) from the empty set, both on the cached factor.  Every
+path accepts by `kkt_verdict`, the full KKT residual (stationarity,
+feasibility, sign, complementarity) below TOL, so the certificate is
+independent of the path.  Emptiness of the constraint set is certified with
+a feasibility LP before Infeasible is raised."""
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -28,7 +26,6 @@ from .errors import Infeasible, MaxIters
 TOL = 1e-9              # KKT residual accepted as a solution
 POLISH_ROUNDS = 40      # active-set refinements from a warm set
 PIVOT_TOL = 1e-10       # relative Schur pivot below which a row is dependent
-LAW, POLISH, COLD = range(3)  # the path a certified solution took
 
 
 @dataclass
@@ -84,7 +81,6 @@ class DenseQP:
         self.n = P.shape[0]
         self.k = self.A.shape[0]
         self.V = dtrtrs(self.chol, self.A.T, lower=1)[0]  # L^-1 A'
-        self.law = None  # (warm set, its _independent rows, law)
 
     @cached_property
     def Pinv(self):
@@ -113,19 +109,17 @@ class DenseQP:
         res, ok = kkt_verdict(self.P @ z + q + self.A.T @ nu, slack, nu)
         return (z, nu, float(res), iters) if ok else None
 
-    def _law(self, key):
-        """(indep, M) for the active set `key`: indep = (rows, V_rows, U) are
-        its independent rows, and (z, w) = M (q, r_rows) with
-        w = -S^-1 (r_a + V_a' L^-1 q) and z = -P^-1 q - L^-T V_a w.  Built from
-        the key alone, so a law is the same whether it was kept or is rebuilt."""
-        if self.law is None or self.law[0] != key:
-            rows, Va, U = indep = self._independent(list(key))
-            Y = dtrtrs(self.chol, Va, lower=1, trans=1)[0]  # L^-T V_a
-            W = -_cho_solve(U, np.hstack([Y.T, np.eye(len(rows))]))
-            Z = -Y @ W
-            Z[:, :self.n] -= self.Pinv
-            self.law = (key, indep, np.vstack([Z, W]))
-        return self.law[1:]
+    def _law(self, active):
+        """(indep, M) for the active set `active`, a list of rows: indep =
+        (rows, V_rows, U) are its independent rows, and (z, w) = M (q, r_rows)
+        with w = -S^-1 (r_a + V_a' L^-1 q) and z = -P^-1 q - L^-T V_a w.
+        Built from the set alone, so a kept law equals a rebuilt one."""
+        rows, Va, U = indep = self._independent(active)
+        Y = dtrtrs(self.chol, Va, lower=1, trans=1)[0]  # L^-T V_a
+        W = -_cho_solve(U, np.hstack([Y.T, np.eye(len(rows))]))
+        Z = -Y @ W
+        Z[:, :self.n] -= self.Pinv
+        return indep, np.vstack([Z, W])
 
     def _polish(self, q, r, start, rounds):
         """Active-set solve on the factor from `start`, the _independent
@@ -176,37 +170,22 @@ class DenseQP:
         return None
 
     def solve(self, q, r, warm_active=None):
-        """The certified solution: the law of `warm_active` (of the empty set
-        if none) when `kkt_verdict` accepts it, else `fallback`.
-        `warm_active`, a sorted tuple of distinct rows such as a
-        QPResult.active, only affects speed."""
+        """The certified solution: the polish from `warm_active` (unless
+        empty), then Goldfarb-Idnani from the empty set, whose `iters` counts
+        its rounds (at least one).  `warm_active`, a sequence of distinct
+        rows such as a QPResult.active, only affects speed."""
         q = np.asarray(q, dtype=float).reshape(self.n)
         r = np.asarray(r, dtype=float).reshape(self.k)
-        key, nu = tuple(warm_active or ()), np.zeros(self.k)
-        if key:
-            (rows, *_), M = self._law(key)
-            zw = M @ np.concatenate([q, r[rows]])
-            z, nu[rows] = zw[:self.n], zw[self.n:]
-        else:  # the empty set's law through the factor: no P^-1 is formed
-            z = -dpotrs(self.chol, q, lower=1)[0]
-        res, ok = kkt_verdict(self.P @ z + q + self.A.T @ nu, r - self.A @ z, nu)
-        iters = 0
-        if not ok:
-            z, nu, res, iters, _ = self.fallback(q, r, key)
-        return QPResult(z, nu, tuple(np.flatnonzero(nu > 0.0).tolist()),
-                        float(res), iters)
-
-    def fallback(self, q, r, key):
-        """The certified solution of a QP whose law test refused the law of
-        the warm set `key`: the polish from that set (unless empty), then
-        Goldfarb-Idnani from the empty set.  Returns (z, nu, residual,
-        rounds of a cold start or 0, POLISH or COLD)."""
-        out = self._polish(q, r, self._law(key)[0], POLISH_ROUNDS) if key else None
+        warm = list(warm_active or ())
+        out = self._polish(q, r, self._independent(warm), POLISH_ROUNDS) \
+            if warm else None
         if out is not None:
-            return out[:3] + (0, POLISH)
-        out = self._polish(q, r, self._independent([]), 4 * self.k + 40)
-        if out is not None:
-            return out + (COLD,)
-        if self._certify_infeasible(r):
-            raise Infeasible("constraint set is empty")
-        raise MaxIters(f"QP solver stalled after {4 * self.k + 40} rounds")
+            out = out[:3] + (0,)  # a warm polish counts no cold rounds
+        else:
+            out = self._polish(q, r, self._independent([]), 4 * self.k + 40)
+        if out is None:
+            if self._certify_infeasible(r):
+                raise Infeasible("constraint set is empty")
+            raise MaxIters(f"QP solver stalled after {4 * self.k + 40} rounds")
+        z, nu, res, iters = out
+        return QPResult(z, nu, tuple(np.flatnonzero(nu > 0.0).tolist()), res, iters)

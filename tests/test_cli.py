@@ -5,6 +5,7 @@ import numpy as np
 
 from dsmpc import cli
 from dsmpc.cli import main
+from dsmpc.model import load_scenario
 
 
 def run(argv):
@@ -200,6 +201,25 @@ class TestSolve:
         assert any(f.endswith(".json") for f in files)
         assert any(f.endswith(".csv") for f in files)
         assert "dual gap" in capsys.readouterr().out
+
+    def test_report_digest_is_the_loaded_scenario(self, formation3_path,
+                                                  tmp_path):
+        # solve's report and simulate's metadata name the scenario file as
+        # loaded by the same digest, not the shifted scenario's
+        out = tmp_path / "runs"
+        assert run(["solve", "--scenario", formation3_path, "--iters", "2",
+                    "--out", str(out)]) == 0
+        assert run(["simulate", "--scenario", formation3_path, "--iters", "1",
+                    "--steps", "2", "--out", str(out)]) == 0
+        want = load_scenario(formation3_path).digest()
+        files = os.listdir(out)
+        [report] = [f for f in files if f.startswith("suboptimality_curve")
+                    and f.endswith(".json")]
+        [meta] = [f for f in files if f.endswith(".meta.json")]
+        assert report.startswith(f"suboptimality_curve_{want[:12]}_")
+        assert json.loads(open(out / report).read())["provenance"] == \
+            {"scenario_digest": want}
+        assert json.loads(open(out / meta).read())["scenario_digest"] == want
 
 
 class TestParallelAndEntryPoint:

@@ -169,9 +169,7 @@ class TestBuildCoupling:
         spec = CouplingSpec.from_list(
             [{"abs_state_diff": {"agents": [0, 1],
                                  "select": [[1, 0], [0, 1]],
-                                 "bound": [1.0, 1.0]}}],
-            [make_axis_agent([0, 0]), make_axis_agent([0, 0])],
-        )
+                                 "bound": [1.0, 1.0]}}])
         assert spec.p == 4
 
     def test_three_agent_complete_graph_row_count(self, formation3):
@@ -179,7 +177,7 @@ class TestBuildCoupling:
 
     def test_empty_coupling_zero_rows(self):
         agents = [make_axis_agent([0, 0])]
-        s = Scenario(agents=agents, coupling=CouplingSpec.from_list([], agents),
+        s = Scenario(agents=agents, coupling=CouplingSpec.from_list([]),
                      horizon=3, epsilon=0.1, name="alone")
         g = condense_scenario(s)
         ca = g.agents[0]

@@ -6,9 +6,9 @@ import pytest
 
 from dsmpc.errors import (DimensionError, NoConvergence, NotEquilibrium,
                           ParseError)
-from dsmpc.model import (Polytope, Scenario, _matrix, _vector, load_scenario,
-                         save_scenario, shift_to_target, solve_dare,
-                         validate_assumptions)
+from dsmpc.model import (CouplingRow, CouplingSpec, Polytope, Scenario,
+                         _matrix, _vector, load_scenario, save_scenario,
+                         shift_to_target, solve_dare, validate_assumptions)
 
 from oracles import controllable, golden_ratio
 
@@ -282,3 +282,19 @@ class TestRawCouplingRows:
                 ],
                 "coupling": [{"agents": [], "Eu": {}, "Ex": {}, "b": [1.0]}],
             })
+
+
+class TestCouplingValidatedAtConstruction:
+    # a Scenario built directly checks its coupling rows as a loaded one does:
+    # formation3's 12 rows plus one bad row 12 on its 4-state agents
+    @pytest.mark.parametrize("row, error", [
+        (CouplingRow({}, {7: np.ones(4)}, 1.0), ParseError),      # no agent 7
+        (CouplingRow({}, {0: np.ones(3)}, 1.0), DimensionError),  # 3 of 4 states
+        (CouplingRow({}, {0: np.ones(4)}, float("nan")), ValueError),
+        (CouplingRow({}, {}, 1.0), ParseError),                   # no agent
+    ], ids=["agent_out_of_range", "short_block", "nan_bound", "no_agent"])
+    def test_bad_row_rejected(self, formation3, row, error):
+        with pytest.raises(error, match="coupling row 12"):
+            Scenario(agents=formation3.agents,
+                     coupling=CouplingSpec(formation3.coupling.rows + [row]),
+                     horizon=formation3.horizon, epsilon=formation3.epsilon)
