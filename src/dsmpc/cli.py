@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -137,8 +138,9 @@ def cmd_solve(args):
 def _run_one(scenario_path, ell, eps, seed, steps, dist_kind, dist_bound, out,
              alpha=None):
     s = load_scenario(scenario_path)
+    digest = s.digest()  # the scenario as loaded, before the override
     if eps is not None:
-        s.epsilon = eps
+        s = replace(s, epsilon=eps)
     eps_used = s.epsilon
     seed_used = s.seed if seed is None else seed
     n = s.n_total
@@ -148,6 +150,7 @@ def _run_one(scenario_path, ell, eps, seed, steps, dist_kind, dist_bound, out,
     os.makedirs(out, exist_ok=True)
     csv_path = os.path.join(out, stem + ".csv")
     meta_path = os.path.join(out, stem + ".meta.json")
+    tr.scenario_digest = digest
     tr.save(csv_path, meta_path)
     peak = float(violation_profile(tr).max()) if tr.steps else 0.0
     final_err = float(np.linalg.norm(tr.states[-1] - tr.targets))

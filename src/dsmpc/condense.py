@@ -159,8 +159,8 @@ class GlobalQP:
     ||E_i H_i^{-1} E_i'||, the top eigenvalue of the nu x nu Gram matrix
     W W' = L^{-1} E_i' E_i L^{-T} on the agent's Cholesky factor (W' W has
     the same nonzero eigenvalues), one batched eigvalsh per group.
-    `oracle_ws` holds the oracle's stacked blocks and its DenseQP per eps,
-    built on first use.
+    `oracle_ws` maps each eps to the oracle's stacked DenseQP of the coupled
+    problem, built on first use.
     """
 
     agents: list
@@ -175,8 +175,8 @@ class GlobalQP:
     F_all: np.ndarray = field(init=False, repr=False, compare=False)
     groups: list = field(init=False, repr=False, compare=False)
     first_rows: np.ndarray = field(init=False, repr=False, compare=False)
-    oracle_ws: object = field(default=None, init=False, repr=False,
-                              compare=False)
+    oracle_ws: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self):
         self.E_all = np.hstack([ca.E for ca in self.agents])
@@ -278,7 +278,7 @@ def condense_scenario(scenario):
     """Condense every agent, one stacked pass per agent shape, with the
     coupling blocks attached; agents keep their scenario order."""
     N, agents = scenario.horizon, scenario.agents
-    Eu, Ex = scenario.coupling.stage_matrices(agents)
+    Eu, Ex, bbar = scenario.stage
     u_off = np.cumsum([0] + [a.m for a in agents])
     x_off = np.cumsum([0] + [a.n for a in agents])
     shapes = {}
@@ -291,7 +291,6 @@ def condense_scenario(scenario):
         Ex_g = Ex[:, x_off[idx][:, None] + np.arange(n)].transpose(1, 0, 2)
         condensed += _condense_group([agents[i] for i in idx], idx, N, Eu_g, Ex_g)
     condensed.sort(key=lambda ca: ca.index)
-    bbar = scenario.coupling.bbar
     return GlobalQP(agents=condensed, b=np.tile(bbar, N), p_stage=scenario.coupling.p,
                     N=N, stage_Eu=Eu, stage_Ex=Ex, bbar=bbar)
 

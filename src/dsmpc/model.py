@@ -273,40 +273,33 @@ class CouplingSpec:
     def p(self):
         return len(self.rows)
 
-    def validate(self, agents):
-        """Raise on a row that names no agent, has a non-finite bound, or
-        has a block off the agents' index range or of the wrong length."""
-        for k, row in enumerate(self.rows):
-            if not row.agents():
-                raise ParseError(f"coupling row {k}: references no agents")
-            if not np.isfinite(row.b):
-                raise ValueError(f"coupling row {k}: bound is not finite")
-            for key, blocks, size in (("Eu", row.Eu, "m"), ("Ex", row.Ex, "n")):
-                for i, v in blocks.items():
-                    if i < 0 or i >= len(agents):
-                        raise ParseError(
-                            f"coupling row {k}: agent index {i} out of range")
-                    if np.size(v) != getattr(agents[i], size):
-                        raise DimensionError(
-                            f"coupling row {k}: {key} block for agent {i} has "
-                            f"length {np.size(v)}, expected {getattr(agents[i], size)}")
-
     def stage_matrices(self, agents):
-        """The stage blocks side by side in agent order: Eu (p, sum m_i) and
-        Ex (p, sum n_i), so that row k reads Eu u + Ex x <= b_k."""
+        """The stage rows stacked in agent order, (Eu, Ex, b): Eu (p, sum m_i)
+        and Ex (p, sum n_i), so that row k reads Eu u + Ex x <= b_k.  Raises
+        on a row that names no agent, has a block off the agents' index range
+        or of the wrong length, or has an entry that is not finite."""
         u_off = np.cumsum([0] + [a.m for a in agents])
         x_off = np.cumsum([0] + [a.n for a in agents])
         Eu, Ex = np.zeros((self.p, u_off[-1])), np.zeros((self.p, x_off[-1]))
         for k, row in enumerate(self.rows):
-            for i, v in row.Eu.items():
-                Eu[k, u_off[i]:u_off[i + 1]] = v
-            for i, v in row.Ex.items():
-                Ex[k, x_off[i]:x_off[i + 1]] = v
-        return Eu, Ex
-
-    @property
-    def bbar(self):
-        return np.array([row.b for row in self.rows], dtype=float)
+            if not row.agents():
+                raise ParseError(f"coupling row {k}: references no agents")
+            for key, blocks, out, off in (("Eu", row.Eu, Eu, u_off),
+                                          ("Ex", row.Ex, Ex, x_off)):
+                for i, v in blocks.items():
+                    if i < 0 or i >= len(agents):
+                        raise ParseError(
+                            f"coupling row {k}: agent index {i} out of range")
+                    if np.size(v) != off[i + 1] - off[i]:
+                        raise DimensionError(
+                            f"coupling row {k}: {key} block for agent {i} has "
+                            f"length {np.size(v)}, expected {off[i + 1] - off[i]}")
+                    out[k, off[i]:off[i + 1]] = v
+        b = np.array([row.b for row in self.rows], dtype=float)
+        bad = ~np.isfinite(np.column_stack([Eu, Ex, b])).all(1)
+        if bad.any():
+            raise ValueError(f"coupling row {bad.argmax()}: entry is not finite")
+        return Eu, Ex, b
 
     @classmethod
     def from_list(cls, items):
@@ -374,6 +367,8 @@ class Scenario:
     seed: int = 0
     name: str = "scenario"
     shift: tuple | None = None  # (xbar, ubar) stacked, set by shift_to_target
+    # the coupling's (Eu, Ex, b), stacked and checked at construction
+    stage: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.agents:
@@ -386,7 +381,7 @@ class Scenario:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if self.sim_steps < 1:
             raise ValueError(f"sim_steps must be >= 1, got {self.sim_steps}")
-        self.coupling.validate(self.agents)
+        self.stage = self.coupling.stage_matrices(self.agents)
 
     @property
     def n_total(self):
@@ -609,7 +604,7 @@ def shift_to_target(scenario):
         agents.append(shifted)
 
     xbar, ubar = np.concatenate(xbars), np.concatenate(ubars)
-    Eu, Ex = scenario.coupling.stage_matrices(scenario.agents)
+    Eu, Ex, _ = scenario.stage
     rows = [CouplingRow(dict(row.Eu), dict(row.Ex), row.b - float(offset))
             for row, offset in zip(scenario.coupling.rows, Ex @ xbar + Eu @ ubar)]
     return replace(scenario, agents=agents, coupling=CouplingSpec(rows),

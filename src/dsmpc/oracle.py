@@ -1,8 +1,9 @@
-"""Centralized high-accuracy reference: the monolithic condensed QP is solved
-directly (regularized or not) and certified through KKT residuals computed on
-the original problem data, independently of the solve path.  Supplies the
-exact primal/dual solution maps, both feedback laws, and the square-root
-value function used in the stability experiments.
+"""Centralized high-accuracy reference: for every eps the coupled condensed
+QP is one stacked DenseQP (the eps = 0 problem is the regularized one with no
+relaxation columns), solved directly and certified by one KKT residual of the
+coupled problem computed on the original blocks, independently of the solve
+path.  Supplies the exact primal/dual solution maps, both feedback laws, and
+the square-root value function used in the stability experiments.
 """
 
 from dataclasses import dataclass
@@ -32,48 +33,22 @@ class OracleSolution:
     epsilon: float
     dual_maybe_nonunique: bool = False
 
-    def to_dict(self):
-        """Solution dump in the scenario-file matrix encoding."""
-        return {k: v.tolist() if isinstance(v, np.ndarray) else v
-                for k, v in vars(self).items()}
 
-
-def _reg_kkt_residual(H_all, q, C_loc, r_loc, E_all, b_eff, u, nu, lam, eps):
-    """KKT residual of the regularized problem with the relaxation variable
-    eliminated (coupling rows read E u <= b_eff + eps * lam)."""
-    stat = H_all @ u + q + C_loc.T @ nu + E_all.T @ lam
-    slack = np.concatenate([r_loc - C_loc @ u, b_eff + eps * lam - E_all @ u])
-    return float(kkt_verdict(stat, slack, np.concatenate([nu, lam]))[0])
-
-
-class _Workspace:
-    """The stacked blocks of a GlobalQP, built once, and the stacked DenseQP
-    per eps, factorized on first use."""
-
-    def __init__(self, g):
-        self.H_all = block_diag(*[ca.H for ca in g.agents])
-        self.C_loc = block_diag(*[ca.C for ca in g.agents])
-        self.E_all = g.E_all
-        self.qps = {}
-
-    def qp(self, eps):
-        key = float(eps)
-        if key not in self.qps:
-            H_all, C_loc, E_all = self.H_all, self.C_loc, self.E_all
-            if eps == 0.0:
-                P = H_all
-                A = np.vstack([C_loc, E_all])
-            else:
-                # Relaxation variable scaled by sqrt(eps) keeps the KKT system
-                # well conditioned down to very small regularization.
-                p = E_all.shape[0]
-                P = block_diag(H_all, np.eye(p))
-                A = np.block([
-                    [C_loc, np.zeros((C_loc.shape[0], p))],
-                    [E_all, -np.sqrt(eps) * np.eye(p)],
-                ])
-            self.qps[key] = DenseQP(P, A)
-        return self.qps[key]
+def _stacked_qp(g, eps):
+    """The coupled problem at eps as one DenseQP over (u, s), factorized on
+    first use and kept in `g.oracle_ws`: P = blkdiag(H_i, I_p) and
+    A = [blkdiag(C_i), 0; E_all, -sqrt(eps) I_p].  The relaxation s, scaled
+    by sqrt(eps) to keep the KKT system well conditioned down to very small
+    regularization, has one column per nonzero column of -sqrt(eps) I, so
+    p = 0 at eps = 0."""
+    if eps not in g.oracle_ws:
+        R = -np.sqrt(eps) * np.eye(g.n_dual)
+        R = R[:, R.any(0)]
+        C = block_diag(*[ca.C for ca in g.agents])
+        g.oracle_ws[eps] = DenseQP(
+            block_diag(*[ca.H for ca in g.agents], np.eye(R.shape[1])),
+            np.block([[C, np.zeros((C.shape[0], R.shape[1]))], [g.E_all, R]]))
+    return g.oracle_ws[eps]
 
 
 def solve_centralized(g, x, eps):
@@ -87,27 +62,26 @@ def solve_centralized(g, x, eps):
     contract cannot be met.
     """
     eps = checked_eps(eps)
-    x = np.asarray(x, dtype=float)
-    if g.oracle_ws is None:
-        g.oracle_ws = _Workspace(g)
-    ws = g.oracle_ws
+    qp = _stacked_qp(g, eps)
     q, r_loc, Fx = g.state_terms(x)
-    b_eff = g.b - Fx
-    r = np.concatenate([r_loc, b_eff])
-    k_loc, n_u = ws.C_loc.shape[0], ws.H_all.shape[0]
-    qp = ws.qp(eps)
-
-    res = qp.solve(q if eps == 0.0 else np.concatenate([q, np.zeros(g.n_dual)]), r)
+    r = np.concatenate([r_loc, g.b - Fx])
+    n_u, k_loc = q.size, r_loc.size
+    res = qp.solve(np.concatenate([q, np.zeros(qp.n - n_u)]), r)
     u, nu, lam = res.z[:n_u], res.nu[:k_loc], res.nu[k_loc:]
-    kkt = res.kkt_residual if eps == 0.0 else _reg_kkt_residual(
-        ws.H_all, q, ws.C_loc, r_loc, ws.E_all, b_eff, u, nu, lam, eps)
+    # The coupled problem's KKT residual with the relaxation eliminated:
+    # the coupling rows read E u <= b - F x + eps * lam.
+    A_u = qp.A[:, :n_u]
+    slack = r - A_u @ u
+    slack[k_loc:] += eps * lam
+    kkt = kkt_verdict(qp.P[:n_u, :n_u] @ u + q + A_u.T @ res.nu, slack,
+                      res.nu)[0]
     if kkt > 10 * ORACLE_TOL:
         raise NoConvergence(f"oracle KKT residual {kkt:.3e} above tolerance")
 
     nonunique = False
     if eps == 0.0:
         # rows of A = [C_loc; E_all] with a positive multiplier or no slack
-        act = np.flatnonzero((res.nu > ORACLE_TOL) | (r - qp.A @ u < 1e-10))
+        act = np.flatnonzero((res.nu > ORACLE_TOL) | (slack < 1e-10))
         if act.size:
             sv = np.linalg.svd(qp.A[act], compute_uv=False)
             nonunique = bool(sv.min() < 1e-8 * max(1.0, sv.max())) or \

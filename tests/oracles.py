@@ -172,5 +172,29 @@ def qp_by_enumeration(P, q, A, r, feas_tol=1e-10, dual_tol=1e-9):
     return best
 
 
+def coupled_kkt_residual(g, x, u, nu, lam, eps):
+    """KKT residual of the coupled condensed QP at state x, assembled agent
+    by agent from the condensed blocks: stationarity H_i u_i + G_i x_i +
+    C_i' nu_i + E_i' lam, local slacks c_i - D_i x_i - C_i u_i, and the
+    coupling slack b - sum_i F_i x_i + eps lam - sum_i E_i u_i (the
+    regularization's relaxation eliminated); the largest violation of
+    stationarity, feasibility, sign and complementarity."""
+    stat, slack, mult = [], [], []
+    coupling = g.b + eps * lam
+    ou = ox = ok = 0
+    for ca in g.agents:
+        ui, xi = u[ou:ou + ca.nu], x[ox:ox + ca.n]
+        nui = nu[ok:ok + ca.C.shape[0]]
+        stat.append(ca.H @ ui + ca.G @ xi + ca.C.T @ nui + ca.E.T @ lam)
+        slack.append(ca.c - ca.D @ xi - ca.C @ ui)
+        mult.append(nui)
+        coupling = coupling - ca.F @ xi - ca.E @ ui
+        ou, ox, ok = ou + ca.nu, ox + ca.n, ok + ca.C.shape[0]
+    stat, slack = np.concatenate(stat), np.concatenate(slack + [coupling])
+    mult = np.concatenate(mult + [lam])
+    return float(max(np.abs(stat).max(initial=0.0), (-slack).max(),
+                     (-mult).max(), np.abs(mult * slack).max()))
+
+
 def golden_ratio():
     return 0.5 * (1.0 + np.sqrt(5.0))

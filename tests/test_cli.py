@@ -221,6 +221,24 @@ class TestSolve:
             {"scenario_digest": want}
         assert json.loads(open(out / meta).read())["scenario_digest"] == want
 
+    def test_eps_override_digest_is_the_loaded_scenario(self, formation3_path,
+                                                        tmp_path):
+        # --eps changes the run, not the file the run names
+        out = tmp_path / "runs"
+        assert run(["solve", "--scenario", formation3_path, "--iters", "2",
+                    "--eps", "0.05", "--out", str(out)]) == 0
+        assert run(["simulate", "--scenario", formation3_path, "--iters", "1",
+                    "--eps", "0.05", "--steps", "2", "--out", str(out)]) == 0
+        want = load_scenario(formation3_path).digest()
+        files = os.listdir(out)
+        [report] = [f for f in files if f.startswith("suboptimality_curve")
+                    and f.endswith(".json")]
+        [meta] = [f for f in files if f.endswith(".meta.json")]
+        assert json.loads(open(out / report).read())["provenance"] == \
+            {"scenario_digest": want}
+        meta = json.loads(open(out / meta).read())
+        assert meta["scenario_digest"] == want and meta["epsilon"] == 0.05
+
 
 class TestParallelAndEntryPoint:
     def test_sweep_jobs_parallel(self, formation3_path, tmp_path):

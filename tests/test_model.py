@@ -298,3 +298,15 @@ class TestCouplingValidatedAtConstruction:
             Scenario(agents=formation3.agents,
                      coupling=CouplingSpec(formation3.coupling.rows + [row]),
                      horizon=formation3.horizon, epsilon=formation3.epsilon)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("key", ["Eu", "Ex"])
+    def test_non_finite_block_rejected(self, formation3, key, bad):
+        # agent 0 has 2 inputs and 4 states; one entry of its block is bad
+        block = np.ones(2 if key == "Eu" else 4)
+        block[1] = bad
+        row = CouplingRow(**{"Eu": {}, "Ex": {}, key: {0: block}, "b": 1.0})
+        with pytest.raises(ValueError, match="coupling row 12"):
+            Scenario(agents=formation3.agents,
+                     coupling=CouplingSpec(formation3.coupling.rows + [row]),
+                     horizon=formation3.horizon, epsilon=formation3.epsilon)

@@ -9,6 +9,7 @@ from dsmpc.oracle import (feedback_laws, simulate_optimal_closed_loop,
                           solve_centralized, value_function)
 
 from conftest import make_pair_scenario
+from oracles import coupled_kkt_residual
 from test_coordinator import stub_global
 
 
@@ -115,6 +116,28 @@ class TestSolveCentralized:
             if d > 1e-9:
                 ratios.append(np.linalg.norm(la - lb) / d)
         assert np.isfinite(max(ratios))
+
+
+class TestOneCertificate:
+    # formation3's x0 and three seeded states near it, where a coupling row
+    # is active; every eps, the unregularized one included, is certified by
+    # the coupled problem's KKT residual
+    @pytest.mark.parametrize("eps", [0.0, 1e-8, 1e-4, 0.05])
+    def test_coupled_kkt_residual(self, formation3_global, eps):
+        shifted, g = formation3_global
+        x0 = shifted.x0_stacked()
+        rng = np.random.default_rng(0)
+        for x in [x0, *(x0 + rng.uniform(-0.02, 0.02, (3, x0.size)))]:
+            sol = solve_centralized(g, x, eps)
+            res = coupled_kkt_residual(g, x, sol.u, sol.nu, sol.lam, eps)
+            assert res <= 1e-9
+            assert abs(res - sol.kkt_residual) <= 1e-12
+            qp = g.oracle_ws[eps]
+            again = solve_centralized(g, x, eps)
+            assert g.oracle_ws[eps] is qp
+            for a, b in ((sol.u, again.u), (sol.lam, again.lam),
+                         (sol.nu, again.nu)):
+                assert np.array_equal(a, b)
 
 
 class TestValueFunction:
