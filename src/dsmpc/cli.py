@@ -116,17 +116,25 @@ def cmd_check(args):
     return 0
 
 
+def _load(path, **overrides):
+    """The scenario at `path` with the fields given (not None) replaced and
+    checked again, and the digest of the file as loaded."""
+    s = load_scenario(path)
+    return replace(s, **{k: v for k, v in overrides.items() if v is not None}), \
+        s.digest()
+
+
 def cmd_solve(args):
-    s = load_scenario(args.scenario)
+    s, digest = _load(args.scenario, iterations=args.iters)
     eps = s.epsilon if args.eps is None else args.eps
-    ell = s.iterations if args.iters is None else args.iters
+    ell = s.iterations
     shifted = shift_to_target(s)
     g = condense_scenario(shifted)
     alpha = args.alpha if args.alpha is not None else \
         default_step(lipschitz_constant(g, eps))
     rep = suboptimality_curve(g, shifted.x0_stacked(), None, ell, eps,
                               alpha=alpha)
-    rep.provenance["scenario_digest"] = s.digest()  # the scenario as loaded
+    rep.provenance["scenario_digest"] = digest
     jpath, cpath = rep.save(args.out, tag=f"l{ell}_e{eps:g}")
     gap = rep.series["gap"][-1]
     print(f"dual gap after {ell} rounds: {gap:.6e} "
@@ -137,15 +145,13 @@ def cmd_solve(args):
 
 def _run_one(scenario_path, ell, eps, seed, steps, dist_kind, dist_bound, out,
              alpha=None):
-    s = load_scenario(scenario_path)
-    digest = s.digest()  # the scenario as loaded, before the override
-    if eps is not None:
-        s = replace(s, epsilon=eps)
+    s, digest = _load(scenario_path, epsilon=eps, iterations=ell,
+                      sim_steps=steps)
     eps_used = s.epsilon
     seed_used = s.seed if seed is None else seed
     n = s.n_total
     dist = make_disturbance(dist_kind, dist_bound * np.ones(n), seed=seed_used)
-    tr = simulate_closed_loop(s, ell=ell, steps=steps, dist=dist, alpha=alpha)
+    tr = simulate_closed_loop(s, dist=dist, alpha=alpha)
     stem = _trace_stem(s, tr.ell, eps_used, seed_used)
     os.makedirs(out, exist_ok=True)
     csv_path = os.path.join(out, stem + ".csv")

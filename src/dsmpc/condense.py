@@ -141,21 +141,22 @@ def condense_agent(agent, N, index=0):
 # The agents of one inner-problem shape (n, nu, k) in a GlobalQP: indices,
 # (len, nu) positions in the stacked inputs, (len, k) in the stacked local
 # rows and (len, n) in the stacked states; stacked KKT matrices
-# [H_i C_i'; C_i 0], blkdiag(H_i, W_i), G_i, D_i, c_i; and the laws of the
-# rounds, padded to (nu+k) x (nu+k), with the (len, k) masks of their sets.
+# [H_i C_i'; C_i 0], cost metrics M_i = [H_i G_i; G_i' W_i], G_i, D_i, c_i;
+# and the laws of the rounds, padded to (nu+k) x (nu+k), with the (len, k)
+# masks of their sets.
 ShapeGroup = namedtuple("ShapeGroup",
-                        "idx u_rows r_rows x_rows K HW G D c laws law_mask")
+                        "idx u_rows r_rows x_rows K M G D c laws law_mask")
 
 
 @dataclass
 class GlobalQP:
-    """All condensed agents plus the stacked coupling data, in agent order.
-
-    `stage_Eu` (p x sum m_i) and `stage_Ex` (p x sum n_i) are the stage
-    coupling blocks side by side.  Built at construction from the agents'
-    blocks: `E_all` = [E_1 ... E_M] and `F_all` = [F_1 ... F_M]; `groups`,
-    one ShapeGroup per inner-problem shape, whose laws and masks the
-    coordinator's rounds keep up to date; and `coupling_norms`, per agent
+    """The condensed coupled problem: the condensed agents, in agent order,
+    and the stacked coupling bound `b` of the rows sum_i E_i u_i + F_i x_i
+    <= b over predicted stages 1..N.  The horizon N and the rows per stage
+    `p_stage` follow from the agents and from b.  Built at construction from
+    the agents' blocks: `E_all` = [E_1 ... E_M] and `F_all` = [F_1 ... F_M];
+    `groups`, one ShapeGroup per inner-problem shape, whose laws and masks
+    the coordinator's rounds keep up to date; and `coupling_norms`, per agent
     ||E_i H_i^{-1} E_i'||, the top eigenvalue of the nu x nu Gram matrix
     W W' = L^{-1} E_i' E_i L^{-T} on the agent's Cholesky factor (W' W has
     the same nonzero eigenvalues), one batched eigvalsh per group.
@@ -165,11 +166,6 @@ class GlobalQP:
 
     agents: list
     b: np.ndarray
-    p_stage: int
-    N: int
-    stage_Eu: np.ndarray
-    stage_Ex: np.ndarray
-    bbar: np.ndarray
     coupling_norms: list = field(init=False, repr=False, compare=False)
     E_all: np.ndarray = field(init=False, repr=False, compare=False)
     F_all: np.ndarray = field(init=False, repr=False, compare=False)
@@ -181,7 +177,8 @@ class GlobalQP:
     def __post_init__(self):
         self.E_all = np.hstack([ca.E for ca in self.agents])
         self.F_all = np.hstack([ca.F for ca in self.agents])
-        u_off, x_off = self.input_offsets(), self.state_offsets()
+        u_off = np.cumsum([0] + [ca.nu for ca in self.agents])
+        x_off = self.state_offsets()
         r_off = np.cumsum([0] + [ca.qp.k for ca in self.agents])
         self.first_rows = np.concatenate([o + np.arange(ca.m) for o, ca in
                                           zip(u_off, self.agents)])
@@ -195,20 +192,31 @@ class GlobalQP:
             E, Linv = stack("E"), np.linalg.inv(stack("qp.chol"))
             WWt = Linv @ (E.transpose(0, 2, 1) @ E) @ Linv.transpose(0, 2, 1)
             norms[idx] = np.linalg.eigvalsh(WWt)[:, -1]
-            H, C = stack("qp.P"), stack("qp.A")
+            H, C, G = stack("qp.P"), stack("qp.A"), stack("G")
             K, laws = np.zeros((2, len(idx), nu + k, nu + k))
-            HW = np.zeros((len(idx), nu + n, nu + n))
+            M = np.zeros((len(idx), nu + n, nu + n))
             K[:, :nu, :nu], K[:, :nu, nu:], K[:, nu:, :nu] = \
                 H, C.transpose(0, 2, 1), C
-            HW[:, :nu, :nu], HW[:, nu:, nu:] = H, stack("W")
+            M[:, :nu, :nu], M[:, :nu, nu:] = H, G
+            M[:, nu:, :nu], M[:, nu:, nu:] = G.transpose(0, 2, 1), stack("W")
             laws[:, :nu, :nu] -= stack("qp.Pinv")
             self.groups.append(ShapeGroup(
                 idx, u_off[idx][:, None] + np.arange(nu),
                 r_off[idx][:, None] + np.arange(k),
-                x_off[idx][:, None] + np.arange(n), K, HW,
-                stack("G"), stack("D"), stack("c"), laws,
+                x_off[idx][:, None] + np.arange(n), K, M, G,
+                stack("D"), stack("c"), laws,
                 np.zeros((len(idx), k), dtype=bool)))
         self.coupling_norms = norms.tolist()
+
+    @property
+    def N(self):
+        """Prediction horizon."""
+        return self.agents[0].N
+
+    @property
+    def p_stage(self):
+        """Coupling rows per predicted stage."""
+        return self.b.size // self.N
 
     @property
     def n_total(self):
@@ -217,10 +225,7 @@ class GlobalQP:
     @property
     def n_dual(self):
         """Stacked coupling dual dimension N * p."""
-        return self.N * self.p_stage
-
-    def input_offsets(self):
-        return np.cumsum([0] + [ca.nu for ca in self.agents])
+        return self.b.size
 
     def state_offsets(self):
         return np.cumsum([0] + [ca.n for ca in self.agents])
@@ -234,9 +239,7 @@ class GlobalQP:
         return x
 
     def split_states(self, x):
-        x = self._states(x)
-        off = self.state_offsets()
-        return [x[off[i]:off[i + 1]] for i in range(len(self.agents))]
+        return np.split(self._states(x), self.state_offsets()[1:-1])
 
     def _inputs(self, u):
         u = np.asarray(u, dtype=float)
@@ -244,10 +247,6 @@ class GlobalQP:
             raise DimensionError(f"input trajectory has length {u.size}, "
                                  f"expected {self.E_all.shape[1]}")
         return u
-
-    def split_inputs(self, u):
-        u, off = self._inputs(u), self.input_offsets()
-        return [u[off[i]:off[i + 1]] for i in range(len(self.agents))]
 
     def first_inputs(self, u):
         """First-stage input blocks of a stacked input trajectory."""
@@ -267,18 +266,12 @@ class GlobalQP:
             r[grp.r_rows] = grp.c - (grp.D @ xs)[..., 0]
         return Gx, r, self.F_all @ x
 
-    def stage_violation(self, x, u_first):
-        """Positive part of the stage coupling rows at a realized (x, u)."""
-        return np.maximum(self.stage_Ex @ self._states(x)
-                          + self.stage_Eu @ np.asarray(u_first, dtype=float)
-                          - self.bbar, 0.0)
-
 
 def condense_scenario(scenario):
     """Condense every agent, one stacked pass per agent shape, with the
     coupling blocks attached; agents keep their scenario order."""
     N, agents = scenario.horizon, scenario.agents
-    Eu, Ex, bbar = scenario.stage
+    Eu, Ex, b = scenario.stage
     u_off = np.cumsum([0] + [a.m for a in agents])
     x_off = np.cumsum([0] + [a.n for a in agents])
     shapes = {}
@@ -291,16 +284,18 @@ def condense_scenario(scenario):
         Ex_g = Ex[:, x_off[idx][:, None] + np.arange(n)].transpose(1, 0, 2)
         condensed += _condense_group([agents[i] for i in idx], idx, N, Eu_g, Ex_g)
     condensed.sort(key=lambda ca: ca.index)
-    return GlobalQP(agents=condensed, b=np.tile(bbar, N), p_stage=scenario.coupling.p,
-                    N=N, stage_Eu=Eu, stage_Ex=Ex, bbar=bbar)
+    return GlobalQP(agents=condensed, b=np.tile(b, N))
 
 
 def eval_condensed_cost(g, u, x):
-    """Total condensed cost sum_i 0.5 ||(u_i, x_i)||^2 in the M_i metric."""
+    """Total condensed cost sum_i 0.5 ||(u_i, x_i)||^2 in the M_i metric,
+    one product per shape group."""
+    u, x = g._inputs(u), g._states(x)
     total = 0.0
-    for ca, ui, xi in zip(g.agents, g.split_inputs(u), g.split_states(x)):
-        total += 0.5 * (ui @ ca.H @ ui) + ui @ (ca.G @ xi) + 0.5 * (xi @ ca.W @ xi)
-    return float(total)
+    for grp in g.groups:
+        v = np.concatenate([u[grp.u_rows], x[grp.x_rows]], 1)
+        total += 0.5 * float(np.vdot(v, (grp.M @ v[..., None])[..., 0]))
+    return total
 
 
 def rollout_cost(scenario, u, x):

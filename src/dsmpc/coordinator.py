@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .condense import eval_condensed_cost
 from .errors import DomainError
 from .qpcore import law_test
 
@@ -174,16 +175,12 @@ def dual_cost(lam, x, g, eps, warm=None):
 
 
 def _dual_cost(lam, x, g, eps, terms, warm):
-    """psi_eps at a nonnegative lam from the state terms of x; the quadratic
-    forms 0.5 (u_i' H_i u_i + x_i' W_i x_i) are one product per group."""
-    Gx, _, Fx = terms
-    u, x = batched_solves(g, terms, lam, warm).u, np.asarray(x, dtype=float)
-    total = 0.5 * eps * float(lam @ lam) + float(lam @ (g.b - Fx)) \
-        - float((Gx + g.E_all.T @ lam) @ u)
-    for grp in g.groups:
-        v = np.concatenate([u[grp.u_rows], x[grp.x_rows]], 1)
-        total -= 0.5 * float(np.vdot(v, (grp.HW @ v[..., None])[..., 0]))
-    return float(total)
+    """psi_eps at a nonnegative lam from the state terms of x:
+    (eps/2) ||lam||^2 + lam' (b - F x - E u) - f(u, x) at the inner
+    solves' u."""
+    u = batched_solves(g, terms, lam, warm).u
+    return 0.5 * eps * float(lam @ lam) \
+        + float(lam @ (g.b - terms[2] - g.E_all @ u)) - eval_condensed_cost(g, u, x)
 
 
 def checked_eps(eps):

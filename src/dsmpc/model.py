@@ -52,10 +52,19 @@ def _vector(obj, what, size=None):
 
 def _scalar(obj, what, kind=int):
     try:
-        return kind(obj)
+        value = kind(obj)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"scenario: {what} is not a finite {kind.__name__} "
                          f"({obj!r})") from exc
+    if kind is int and isinstance(obj, float) and obj != value:
+        raise ParseError(f"scenario: {what} is not an integer ({obj!r})")
+    return value
+
+
+def _object(obj, what):
+    if not isinstance(obj, dict):
+        raise ParseError(f"{what}: expected an object")
+    return obj
 
 
 @dataclass
@@ -166,8 +175,7 @@ class AgentModel:
 
     @classmethod
     def from_dict(cls, d, name=""):
-        if not isinstance(d, dict):
-            raise ParseError(f"agent {name}: expected an object")
+        name = _object(d, f"agent {name}").get("name", name)
         for key in ("A", "B", "Q", "R"):
             if key not in d:
                 raise ParseError(f"agent {name}: missing '{key}'")
@@ -183,7 +191,7 @@ class AgentModel:
             val = d.get(key)
             if val is None:
                 return Polytope.unconstrained(dim)
-            if "box" in val:
+            if "box" in _object(val, f"agent {name}: {key}"):
                 lo, hi = val["box"]
                 return Polytope.box(lo, hi)
             return Polytope(
@@ -192,8 +200,9 @@ class AgentModel:
             )
 
         term = d.get("terminal")
+        term = {} if term is None else _object(term, f"agent {name}: terminal")
         terminal_equality = False
-        if term is None or term.get("mode") == "none":
+        if term.get("mode", "none") == "none":
             terminal_poly = Polytope.unconstrained(n)
         elif term.get("mode") == "equality":
             # Pins the terminal state to the target (the origin once shifted).
@@ -225,7 +234,7 @@ class AgentModel:
             state_poly=poly_of("state_poly", n), terminal_poly=terminal_poly,
             terminal_equality=terminal_equality,
             disturbance_bound=d.get("disturbance_bound", np.zeros(n)),
-            x0=d.get("x0", np.zeros(n)), target=target, name=d.get("name", name),
+            x0=d.get("x0", np.zeros(n)), target=target, name=name,
         )
 
     def to_dict(self):
@@ -287,9 +296,9 @@ class CouplingSpec:
             for key, blocks, out, off in (("Eu", row.Eu, Eu, u_off),
                                           ("Ex", row.Ex, Ex, x_off)):
                 for i, v in blocks.items():
-                    if i < 0 or i >= len(agents):
+                    if not (isinstance(i, (int, np.integer)) and 0 <= i < len(agents)):
                         raise ParseError(
-                            f"coupling row {k}: agent index {i} out of range")
+                            f"coupling row {k}: agent index {i!r} out of range")
                     if np.size(v) != off[i + 1] - off[i]:
                         raise DimensionError(
                             f"coupling row {k}: {key} block for agent {i} has "
@@ -303,20 +312,24 @@ class CouplingSpec:
 
     @classmethod
     def from_list(cls, items):
+        if not isinstance(items, list):
+            raise ParseError("scenario: 'coupling' must be a list")
         rows = []
         for k, item in enumerate(items):
-            if not isinstance(item, dict):
-                raise ParseError(f"coupling row {k}: expected an object")
+            _object(item, f"coupling row {k}")
             if "abs_state_diff" in item or item.get("type") == "abs_state_diff":
-                spec = item.get("abs_state_diff", item)
+                spec = _object(item.get("abs_state_diff", item),
+                               f"coupling row {k}: abs_state_diff")
                 try:
-                    i, j = spec["agents"]
-                except (KeyError, ValueError) as exc:
-                    raise ParseError(
-                        f"coupling row {k}: abs_state_diff needs a pair of agents"
-                    ) from exc
-                sel = _matrix(spec["select"], f"coupling row {k}: select")
-                bound = _vector(spec["bound"], f"coupling row {k}: bound", sel.shape[0])
+                    (i, j), sel, bound = spec["agents"], spec["select"], spec["bound"]
+                except KeyError as exc:
+                    raise ParseError(f"coupling row {k}: abs_state_diff is "
+                                     f"missing {exc}") from exc
+                except (TypeError, ValueError) as exc:
+                    raise ParseError(f"coupling row {k}: abs_state_diff needs "
+                                     f"a pair of agents") from exc
+                sel = _matrix(sel, f"coupling row {k}: select")
+                bound = _vector(bound, f"coupling row {k}: bound", sel.shape[0])
                 for r in range(sel.shape[0]):
                     s = sel[r]
                     rows.append(CouplingRow({}, {i: s.copy(), j: -s}, float(bound[r])))
@@ -326,10 +339,10 @@ class CouplingSpec:
             nrows = b.size
             if nrows == 0:
                 raise ParseError(f"coupling row {k}: empty right-hand side")
-            eu = {int(i): _matrix(v, f"coupling row {k}: Eu[{i}]", rows=nrows)
-                  for i, v in (item.get("Eu") or {}).items()}
-            ex = {int(i): _matrix(v, f"coupling row {k}: Ex[{i}]", rows=nrows)
-                  for i, v in (item.get("Ex") or {}).items()}
+            eu, ex = ({int(i): _matrix(v, f"coupling row {k}: {key}[{i}]", rows=nrows)
+                       for i, v in _object(item.get(key) or {},
+                                           f"coupling row {k}: {key}").items()}
+                      for key in ("Eu", "Ex"))
             for r in range(nrows):
                 rows.append(
                     CouplingRow(
@@ -409,10 +422,10 @@ class Scenario:
             raise ParseError("scenario: expected a JSON object")
         if "agents" not in d:
             raise ParseError("scenario: missing 'agents'")
-        agents = [
-            AgentModel.from_dict(a, name=a.get("name", f"agent{i}") if isinstance(a, dict) else f"agent{i}")
-            for i, a in enumerate(d["agents"])
-        ]
+        if not isinstance(d["agents"], list):
+            raise ParseError("scenario: 'agents' must be a list")
+        agents = [AgentModel.from_dict(a, name=f"agent{i}")
+                  for i, a in enumerate(d["agents"])]
         if not agents:
             raise ValueError("scenario has no agents")
         coupling = CouplingSpec.from_list(d.get("coupling", []))

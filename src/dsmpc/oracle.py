@@ -31,7 +31,6 @@ class OracleSolution:
     kkt_residual: float
     value: float             # condensed cost at the primal solution
     epsilon: float
-    dual_maybe_nonunique: bool = False
 
 
 def _stacked_qp(g, eps):
@@ -56,10 +55,9 @@ def solve_centralized(g, x, eps):
     ORACLE_TOL.
 
     eps > 0 solves the regularized problem (unique dual); eps = 0 returns the
-    exact primal and one dual, flagging possible dual non-uniqueness when the
-    active constraint gradients are rank deficient.  Raises Infeasible when x
-    is outside the feasible parameter set and NoConvergence if the residual
-    contract cannot be met.
+    exact primal and one dual.  Raises Infeasible when x is outside the
+    feasible parameter set and NoConvergence if the residual contract cannot
+    be met.
     """
     eps = checked_eps(eps)
     qp = _stacked_qp(g, eps)
@@ -77,21 +75,8 @@ def solve_centralized(g, x, eps):
                       res.nu)[0]
     if kkt > 10 * ORACLE_TOL:
         raise NoConvergence(f"oracle KKT residual {kkt:.3e} above tolerance")
-
-    nonunique = False
-    if eps == 0.0:
-        # rows of A = [C_loc; E_all] with a positive multiplier or no slack
-        act = np.flatnonzero((res.nu > ORACLE_TOL) | (slack < 1e-10))
-        if act.size:
-            sv = np.linalg.svd(qp.A[act], compute_uv=False)
-            nonunique = bool(sv.min() < 1e-8 * max(1.0, sv.max())) or \
-                act.size > n_u
-
-    return OracleSolution(
-        u=u, lam=lam, nu=nu, kkt_residual=float(kkt),
-        value=eval_condensed_cost(g, u, x), epsilon=float(eps),
-        dual_maybe_nonunique=nonunique,
-    )
+    return OracleSolution(u=u, lam=lam, nu=nu, kkt_residual=float(kkt),
+                          value=eval_condensed_cost(g, u, x), epsilon=float(eps))
 
 
 def value_function(g, x):

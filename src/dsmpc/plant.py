@@ -52,8 +52,9 @@ class Disturbance:
 
     def __post_init__(self):
         self.bound = np.asarray(self.bound, dtype=float).reshape(-1)
-        if np.any(self.bound < 0):
-            raise ValueError("disturbance bound must be componentwise >= 0")
+        if not np.all(np.isfinite(self.bound) & (self.bound >= 0)):
+            raise ValueError("disturbance bound must be finite and "
+                             "componentwise >= 0")
         if self.kind not in ("zero", "uniform", "constant_worst"):
             raise UnknownKind(f"unknown disturbance kind {self.kind!r}")
         if self.vertex is not None:
@@ -188,10 +189,11 @@ def simulate_closed_loop(scenario, ell=None, steps=None, dist=None, alpha=None):
             f"{shifted.n_total}"
         )
     xbar, ubar = shifted.shift
+    Eu, Ex, b = shifted.stage
     n, m = shifted.n_total, shifted.m_total
 
     states, inputs = np.zeros((steps + 1, n)), np.zeros((steps, m))
-    prices, viols = np.zeros((steps, g.n_dual)), np.zeros((steps, g.p_stage))
+    prices, viols = np.zeros((steps, g.n_dual)), np.zeros((steps, b.size))
     clocks, diag = np.zeros(steps), []
 
     x = shifted.x0_stacked()
@@ -215,7 +217,7 @@ def simulate_closed_loop(scenario, ell=None, steps=None, dist=None, alpha=None):
         active_rows += run.active_rows + int(np.count_nonzero(warm))
         kkt_max = max(kkt_max, run.kkt_max, float(rec.res.max(initial=0.0)))
         u_first = g.first_inputs(rec.u)
-        viols[t] = g.stage_violation(x, u_first)
+        viols[t] = np.maximum(Ex @ x + Eu @ u_first - b, 0.0)
         x_next = plant_step(x, u_first, d_seq[t], shifted.agents)
         clocks[t] = time.perf_counter() - tic
         prices[t] = lam

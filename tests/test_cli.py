@@ -2,6 +2,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from dsmpc import cli
 from dsmpc.cli import main
@@ -71,6 +72,66 @@ class TestExitCodes:
             bad.write_text(json.dumps(doc))
             code = run(["check", "--scenario", str(bad), "--out", str(tmp_path)])
             assert code == 3, value
+
+    @pytest.mark.parametrize("edit,named", [
+        (lambda d: d.update(agents=5), "'agents'"),
+        (lambda d: d.update(coupling=3), "'coupling'"),
+        (lambda d: d["agents"][0].update(terminal="equality"),
+         "agent agent1: terminal"),
+        (lambda d: d["agents"][0].update(input_poly=[1, 2]),
+         "agent agent1: input_poly"),
+        (lambda d: d["coupling"].insert(0, {"Eu": [[1.0, 0.0]], "b": [1.0]}),
+         "coupling row 0: Eu"),
+        (lambda d: d["coupling"][0]["abs_state_diff"].pop("select"),
+         "coupling row 0: abs_state_diff is missing 'select'"),
+        (lambda d: d["coupling"][0]["abs_state_diff"].update(agents=["a", "b"]),
+         "coupling row 0: agent index 'a' out of range"),
+    ], ids=["agents", "coupling", "terminal", "input_poly", "Eu", "select",
+            "agent_names"])
+    def test_malformed_structure_scenario_error(self, tmp_path, formation3_path,
+                                                capsys, edit, named):
+        doc = json.loads(open(formation3_path).read())
+        edit(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = run(["check", "--scenario", str(bad), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 3 and "error: scenario:" in err and named in err, err
+
+    @pytest.mark.parametrize("key,value", [("horizon", 2.5), ("iterations", 1.5),
+                                           ("sim_steps", 2.5), ("seed", 0.5)])
+    def test_non_integral_field_scenario_error(self, tmp_path, formation3_path,
+                                               capsys, key, value):
+        doc = json.loads(open(formation3_path).read())
+        doc[key] = value
+        bad = tmp_path / "frac.json"
+        bad.write_text(json.dumps(doc))
+        code = run(["check", "--scenario", str(bad), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 3 and f"{key} is not an integer" in err, err
+
+    def test_non_finite_disturbance_bound_scenario_error(self, tmp_path,
+                                                         formation3_path, capsys):
+        for bound in ("nan", "inf"):
+            code = run(["simulate", "--scenario", formation3_path, "--dist",
+                        "uniform", "--dist-bound", bound, "--steps", "2",
+                        "--out", str(tmp_path)])
+            err = capsys.readouterr().err
+            assert code == 3 and "disturbance bound must be finite" in err, err
+
+    @pytest.mark.parametrize("argv,field", [
+        (["solve", "--iters", "0"], "iterations"),
+        (["solve", "--iters", "-1"], "iterations"),
+        (["simulate", "--iters", "0", "--steps", "2"], "iterations"),
+        (["simulate", "--steps", "0"], "sim_steps"),
+    ], ids=["solve-iters0", "solve-iters-1", "simulate-iters0", "simulate-steps0"])
+    def test_round_and_step_overrides_checked(self, tmp_path, formation3_path,
+                                              capsys, argv, field):
+        out = tmp_path / "runs"
+        code = run(argv + ["--scenario", formation3_path, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3 and f"{field} must be >= 1" in err, err
+        assert not out.exists()
 
     def test_bad_step_size_scenario_error(self, tmp_path, formation3_path):
         for alpha in ("-1", "0", "nan", "inf"):

@@ -192,14 +192,15 @@ class TestBuildCoupling:
         for _ in range(10):
             u = rng.normal(scale=0.5, size=sum(ca.nu for ca in g.agents))
             x = rng.normal(scale=0.5, size=g.n_total)
+            us = np.split(u, np.cumsum([ca.nu for ca in g.agents])[:-1])
             stacked = sum(ca.F @ xi + ca.E @ ui for ca, xi, ui in zip(
-                g.agents, g.split_states(x), g.split_inputs(u))) - g.b
+                g.agents, g.split_states(x), us)) - g.b
             staged = stage_coupling_residuals(shifted, u, x)
             assert np.allclose(stacked.reshape(g.N, g.p_stage), staged, atol=1e-9)
 
     def test_b_is_stage_tiled(self, formation3_global):
-        _, g = formation3_global
-        assert np.allclose(g.b, np.tile(g.bbar, g.N))
+        shifted, g = formation3_global
+        assert np.allclose(g.b, np.tile(shifted.stage[2], g.N))
 
 
 class TestEvalCondensedCost:
@@ -228,10 +229,24 @@ class TestEvalCondensedCost:
             roll = sparse_cost(shifted.agents, g.N, u, x)
             assert cond == pytest.approx(roll, rel=1e-10)
 
+    def test_matches_rollout_mixed_shapes(self):
+        s = mixed_scenario(["axis", "poly", "axis", "eq", "poly", "axis"], 3)
+        g = condense_scenario(s)
+        assert len(g.groups) == 3
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            u = rng.normal(size=sum(ca.nu for ca in g.agents))
+            x = rng.normal(size=g.n_total)
+            cond = eval_condensed_cost(g, u, x)
+            assert cond == pytest.approx(sparse_cost(s.agents, g.N, u, x),
+                                         rel=1e-10)
+
     def test_dimension_error(self, pair_global):
         _, g = pair_global
         with pytest.raises(DimensionError):
             eval_condensed_cost(g, np.zeros(5), np.zeros(2))
+        with pytest.raises(DimensionError):
+            eval_condensed_cost(g, np.zeros(6), np.zeros(3))
 
 
 class TestPairScenario:

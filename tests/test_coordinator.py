@@ -27,9 +27,7 @@ def stub_global(H_list, E_list, b=None, G=0.0, W=0.0):
         ))
     p = E_list[0].shape[0] if hasattr(E_list[0], "shape") else 1
     b = np.zeros(p) if b is None else np.asarray(b, dtype=float)
-    return GlobalQP(agents=agents, b=b, p_stage=p, N=1,
-                    stage_Eu=np.zeros((p, sum(ca.m for ca in agents))),
-                    stage_Ex=np.zeros((p, len(agents))), bbar=b)
+    return GlobalQP(agents=agents, b=b)
 
 
 class TestLipschitzConstant:

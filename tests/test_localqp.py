@@ -33,18 +33,16 @@ def boxed_scalar_agent(lo=-10.0, hi=10.0, coupling_rows=1):
 
 def one_agent(ca):
     """A GlobalQP holding the single condensed agent `ca`."""
-    p = ca.E.shape[0]
-    return GlobalQP(agents=[ca], b=np.zeros(p), p_stage=p, N=1,
-                    stage_Eu=np.zeros((p, ca.m)), stage_Ex=np.zeros((p, ca.n)),
-                    bbar=np.zeros(p))
+    return GlobalQP(agents=[ca], b=np.zeros(ca.E.shape[0]))
 
 
 def per_agent(g, s):
     """The batched Solves `s` split into one QPResult per agent (z = u_i)."""
+    zs = np.split(s.u, np.cumsum([ca.nu for ca in g.agents])[:-1])
     nus = np.split(s.nu, np.cumsum([ca.qp.k for ca in g.agents])[:-1])
     return [QPResult(z, nu, tuple(np.flatnonzero(nu > 0.0).tolist()),
                      float(res), int(it))
-            for z, nu, res, it in zip(g.split_inputs(s.u), nus, s.res, s.iters)]
+            for z, nu, res, it in zip(zs, nus, s.res, s.iters)]
 
 
 def solve_one(ca, x, lam, warm=None):
@@ -336,10 +334,7 @@ def mixed_global(models, p_stage, seed=0, N=2):
         ca.E = rng.normal(size=(N * p_stage, ca.nu))
         ca.F = np.zeros((N * p_stage, ca.n))
         agents.append(ca)
-    return GlobalQP(agents=agents, b=np.zeros(N * p_stage), p_stage=p_stage,
-                    N=N, stage_Eu=np.zeros((p_stage, sum(a.m for a in models))),
-                    stage_Ex=np.zeros((p_stage, sum(a.n for a in models))),
-                    bbar=np.zeros(p_stage))
+    return GlobalQP(agents=agents, b=np.zeros(N * p_stage))
 
 
 def per_agent_solves(g, x, lam, warm=None):

@@ -4,7 +4,7 @@ import pytest
 from dsmpc.condense import condense_scenario
 from dsmpc.coordinator import dual_cost
 from dsmpc.errors import Infeasible
-from dsmpc.model import CouplingRow, CouplingSpec, Scenario, shift_to_target
+from dsmpc.model import shift_to_target
 from dsmpc.oracle import (feedback_laws, simulate_optimal_closed_loop,
                           solve_centralized, value_function)
 
@@ -87,19 +87,6 @@ class TestSolveCentralized:
         assert np.allclose(sol.u[:k], sol2.u[k:], atol=1e-8)
         assert np.allclose(sol.u[k:], sol2.u[:k], atol=1e-8)
         assert np.allclose(sol.lam, sol2.lam, atol=1e-8)
-
-    def test_duplicated_row_flags_nonuniqueness(self):
-        s = make_pair_scenario()
-        rows = s.coupling.rows + [CouplingRow(
-            dict(s.coupling.rows[0].Eu),
-            {k: v.copy() for k, v in s.coupling.rows[0].Ex.items()},
-            s.coupling.rows[0].b,
-        )]
-        s2 = Scenario(agents=s.agents, coupling=CouplingSpec(rows),
-                      horizon=s.horizon, epsilon=s.epsilon, name="dup")
-        g = condense_scenario(s2)
-        sol = solve_centralized(g, s2.x0_stacked(), 0.0)
-        assert sol.dual_maybe_nonunique
 
     def test_dual_lipschitz_probe(self, pair_global):
         s, g = pair_global

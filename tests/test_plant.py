@@ -98,6 +98,11 @@ class TestMakeDisturbance:
         with pytest.raises(ValueError):
             make_disturbance("zero", np.array([-0.1]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_bound_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            make_disturbance("uniform", np.array([0.1, bad]))
+
 
 class TestSimulateClosedLoop:
     def test_equilibrium_stays_put(self, formation3):
@@ -129,6 +134,26 @@ class TestSimulateClosedLoop:
     def test_violations_recorded_not_clipped(self, formation3):
         tr = simulate_closed_loop(formation3, ell=1, steps=25)
         assert tr.violations.max() > 1e-3  # the maneuver strains the tether
+
+    def test_violations_are_the_coupling_rows_positive_part(self, formation3):
+        # max(sum_i Eu_i u_i + Ex_i x_i - b, 0) row by row, from the rows as
+        # written, at the trace's states and inputs in original coordinates
+        dist = make_disturbance("uniform", 0.01 * np.ones(formation3.n_total),
+                                seed=3)
+        tr = simulate_closed_loop(formation3, ell=1, steps=25, dist=dist)
+        u_off = np.cumsum([0] + [a.m for a in formation3.agents])
+        x_off = np.cumsum([0] + [a.n for a in formation3.agents])
+        want = np.zeros_like(tr.violations)
+        for t in range(tr.steps):
+            for k, row in enumerate(formation3.coupling.rows):
+                lhs = sum(v @ tr.inputs[t, u_off[i]:u_off[i + 1]]
+                          for i, v in row.Eu.items())
+                lhs += sum(v @ tr.states[t, x_off[i]:x_off[i + 1]]
+                           for i, v in row.Ex.items())
+                want[t, k] = max(lhs - row.b, 0.0)
+        assert tr.violations.shape == (25, formation3.coupling.p)
+        assert np.count_nonzero(want) > 0
+        assert np.max(np.abs(tr.violations - want)) <= 1e-12
 
     def test_converges_with_one_round(self, formation3):
         tr = simulate_closed_loop(formation3, ell=1, steps=60)
