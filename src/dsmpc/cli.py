@@ -19,12 +19,12 @@ from dataclasses import replace
 import numpy as np
 
 from .analysis import suboptimality_curve, violation_profile
-from .condense import condense_scenario, dump_matrices, eval_condensed_cost, rollout_cost
+from .condense import dump_matrices, eval_condensed_cost, rollout_cost
 from .coordinator import default_step, lipschitz_constant
 from .errors import (DimensionError, DomainError, Infeasible, MaxIters,
                      NoConvergence, NotEquilibrium, ParseError, UnknownKind)
-from .model import load_scenario, shift_to_target, validate_assumptions
-from .plant import make_disturbance, simulate_closed_loop
+from .model import load_scenario, validate_assumptions
+from .plant import make_disturbance, prepared, simulate_closed_loop
 
 SCENARIO_ERRORS = (ParseError, DimensionError, NotEquilibrium, UnknownKind,
                    DomainError, ValueError, OSError)
@@ -37,6 +37,12 @@ def _add_common(sp):
     sp.add_argument("--out", default="runs", help="output directory")
 
 
+def positive_int(text):
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return int(text)
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="dsmpc",
@@ -46,7 +52,7 @@ def build_parser():
 
     sp = sub.add_parser("check", help="validate assumptions and condensation")
     _add_common(sp)
-    sp.add_argument("--points", type=int, default=25,
+    sp.add_argument("--points", type=positive_int, default=25,
                     help="random points for the cost self-test")
 
     sp = sub.add_parser("solve", help="one-shot dual ascent at x0")
@@ -97,8 +103,7 @@ def cmd_check(args):
         print(f"agent {c.agent} {c.item}: {status}{detail}")
     for w in report.warnings:
         print(f"warning: {w}")
-    shifted = shift_to_target(s)
-    g = condense_scenario(shifted)
+    _, shifted, g = prepared(s)
     rng = np.random.default_rng(s.seed)
     worst = 0.0
     for _ in range(args.points):
@@ -128,8 +133,7 @@ def cmd_solve(args):
     s, digest = _load(args.scenario, iterations=args.iters)
     eps = s.epsilon if args.eps is None else args.eps
     ell = s.iterations
-    shifted = shift_to_target(s)
-    g = condense_scenario(shifted)
+    _, shifted, g = prepared(s)
     alpha = args.alpha if args.alpha is not None else \
         default_step(lipschitz_constant(g, eps))
     rep = suboptimality_curve(g, shifted.x0_stacked(), None, ell, eps,
@@ -206,8 +210,7 @@ def cmd_sweep(args):
 
 def cmd_dump(args):
     s = load_scenario(args.scenario)
-    shifted = shift_to_target(s)
-    g = condense_scenario(shifted)
+    g = prepared(s)[2]
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"{s.name}_condensed.json")
     with open(path, "w", encoding="utf-8") as fh:

@@ -54,10 +54,9 @@ def _scalar(obj, what, kind=int):
     try:
         value = kind(obj)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"scenario: {what} is not a finite {kind.__name__} "
-                         f"({obj!r})") from exc
+        raise ParseError(f"{what} is not a finite {kind.__name__} ({obj!r})") from exc
     if kind is int and isinstance(obj, float) and obj != value:
-        raise ParseError(f"scenario: {what} is not an integer ({obj!r})")
+        raise ParseError(f"{what} is not an integer ({obj!r})")
     return value
 
 
@@ -313,7 +312,7 @@ class CouplingSpec:
     @classmethod
     def from_list(cls, items):
         if not isinstance(items, list):
-            raise ParseError("scenario: 'coupling' must be a list")
+            raise ParseError("'coupling' must be a list")
         rows = []
         for k, item in enumerate(items):
             _object(item, f"coupling row {k}")
@@ -413,17 +412,21 @@ class Scenario:
         )
 
     def digest(self):
-        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        doc = self.to_dict()  # + terminal equality rows: the set-up reads them
+        for a, agent in zip(self.agents, doc["agents"]):
+            if a.terminal_equality:
+                agent["terminal"].update(a.terminal_poly.to_dict())
+        blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
     @classmethod
     def from_dict(cls, d):
         if not isinstance(d, dict):
-            raise ParseError("scenario: expected a JSON object")
+            raise ParseError("expected a JSON object")
         if "agents" not in d:
-            raise ParseError("scenario: missing 'agents'")
+            raise ParseError("missing 'agents'")
         if not isinstance(d["agents"], list):
-            raise ParseError("scenario: 'agents' must be a list")
+            raise ParseError("'agents' must be a list")
         agents = [AgentModel.from_dict(a, name=f"agent{i}")
                   for i, a in enumerate(d["agents"])]
         if not agents:
@@ -433,7 +436,7 @@ class Scenario:
             horizon = _scalar(d["horizon"], "horizon")
             epsilon = _scalar(d["epsilon"], "epsilon", float)
         except KeyError as exc:
-            raise ParseError(f"scenario: missing {exc}") from exc
+            raise ParseError(f"missing {exc}") from exc
         return cls(
             agents=agents,
             coupling=coupling,

@@ -11,11 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import block_diag
 
-from .condense import condense_scenario, eval_condensed_cost
+from .condense import eval_condensed_cost
 from .coordinator import batched_solves, checked_eps
 from .errors import NoConvergence
-from .model import shift_to_target
-from .plant import plant_step
+from .plant import plant_step, prepared
 from .qpcore import DenseQP, kkt_verdict
 
 ORACLE_TOL = 1e-9
@@ -108,8 +107,7 @@ def simulate_optimal_closed_loop(scenario, steps=None, eps=0.0):
     regularized version for eps > 0).  Returns states in original
     coordinates, shape (steps+1, n)."""
     steps = scenario.sim_steps if steps is None else int(steps)
-    shifted = shift_to_target(scenario)
-    g = condense_scenario(shifted)
+    _, shifted, g = prepared(scenario)
     xbar, ubar = shifted.shift
     x = shifted.x0_stacked()
     states = np.zeros((steps + 1, x.size))
@@ -119,4 +117,5 @@ def simulate_optimal_closed_loop(scenario, steps=None, eps=0.0):
         u0 = g.first_inputs(solve_centralized(g, x, eps).u)
         x = plant_step(x, u0, zero_d, shifted.agents)
         states[t + 1] = x + xbar
+    g.oracle_ws.pop(eps, None)  # one per eps would pile up in the kept set-up
     return states

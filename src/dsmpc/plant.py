@@ -6,6 +6,7 @@ recovered, and the plant steps forward under a bounded disturbance.
 
 import json
 import time
+from copy import deepcopy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,6 +16,18 @@ from .coordinator import (batched_solves, default_step, lipschitz_constant,
                           run_ada)
 from .errors import DimensionError, Infeasible, UnknownKind
 from .model import shift_to_target
+
+_setup = (None, None, None)  # the last (digest, shifted, g), on a private copy
+
+
+def prepared(scenario):
+    """(digest, shifted copy, condensed problem), kept for the last digest."""
+    global _setup
+    digest = scenario.digest()
+    if digest != _setup[0]:
+        shifted = shift_to_target(deepcopy(scenario))
+        _setup = digest, shifted, condense_scenario(shifted)
+    return _setup
 
 
 def plant_step(x, u, d, agents):
@@ -175,8 +188,7 @@ def simulate_closed_loop(scenario, ell=None, steps=None, dist=None, alpha=None):
     """
     ell = scenario.iterations if ell is None else int(ell)
     steps = scenario.sim_steps if steps is None else int(steps)
-    shifted = shift_to_target(scenario)
-    g = condense_scenario(shifted)
+    digest, shifted, g = prepared(scenario)
     if alpha is None:
         alpha = default_step(lipschitz_constant(g, shifted.epsilon))
     if dist is None:
@@ -236,7 +248,7 @@ def simulate_closed_loop(scenario, ell=None, steps=None, dist=None, alpha=None):
         states=states, inputs=inputs, prices=prices,
         disturbances=d_seq[: inputs.shape[0]], violations=viols,
         wall_clock=clocks, ell=ell, epsilon=eps, alpha=float(alpha),
-        seed=dist.seed, scenario_digest=scenario.digest(),
+        seed=dist.seed, scenario_digest=digest,
         targets=scenario.targets_stacked(), infeasible_at=infeasible_at,
         dual_diagnostics=diag,
         inner_solves=dict(zip(("law", "polish", "cold"), paths.tolist()),

@@ -108,7 +108,9 @@ class TestExitCodes:
         bad.write_text(json.dumps(doc))
         code = run(["check", "--scenario", str(bad), "--out", str(tmp_path)])
         err = capsys.readouterr().err
-        assert code == 3 and f"{key} is not an integer" in err, err
+        # the category prefix appears once, from the command line
+        assert code == 3, err
+        assert err == f"error: scenario: {key} is not an integer ({value!r})\n"
 
     def test_non_finite_disturbance_bound_scenario_error(self, tmp_path,
                                                          formation3_path, capsys):
@@ -240,6 +242,15 @@ class TestCheckAndDump:
         assert code == 0
         text = capsys.readouterr().out
         assert "check: pass" in text
+
+    @pytest.mark.parametrize("points", ["0", "-5"])
+    def test_check_needs_a_point(self, formation3_path, tmp_path, capsys,
+                                 points):
+        code = run(["check", "--scenario", formation3_path,
+                    "--out", str(tmp_path), "--points", points])
+        out, err = capsys.readouterr()
+        assert code == 2 and "--points" in err, err
+        assert "check:" not in out
 
     def test_dump_matrices(self, formation3_path, tmp_path):
         code = run(["dump", "--scenario", formation3_path,

@@ -1,13 +1,18 @@
-from copy import copy
+from copy import copy, deepcopy
 
 import numpy as np
 import pytest
 
+from dsmpc import plant
+from dsmpc.analysis import iss_experiment
 from dsmpc.condense import condense_scenario
 from dsmpc.coordinator import run_ada
 from dsmpc.errors import DimensionError, UnknownKind
 from dsmpc.model import shift_to_target
-from dsmpc.plant import (make_disturbance, plant_step, simulate_closed_loop)
+from dsmpc.oracle import simulate_optimal_closed_loop
+from dsmpc.plant import (make_disturbance, plant_step, prepared,
+                         simulate_closed_loop)
+from dsmpc.scenarios import load
 
 from conftest import make_pair_scenario
 
@@ -228,3 +233,92 @@ class TestNonzeroEquilibriumInput:
         tr = simulate_closed_loop(s, ell=1, steps=40)
         assert tr.states[-1, 0] == pytest.approx(1.0, abs=1e-6)
         assert tr.inputs[-1, 0] == pytest.approx(0.5, abs=1e-6)
+
+
+def fingerprint(tr):
+    """Everything a closed-loop run reports except its wall-clock times."""
+    return (tr.states.tobytes(), tr.inputs.tobytes(), tr.prices.tobytes(),
+            tr.to_csv(), tr.inner_solves, tr.dual_diagnostics,
+            tr.infeasible_at, tr.scenario_digest)
+
+
+EMPTY = (None, None, None)
+
+
+def cold(run, scenario, **kw):
+    """`run` on the scenario with no kept set-up, leaving the kept one
+    alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(plant, "_setup", EMPTY)
+        return run(scenario, **kw)
+
+
+def uniform(scenario, seed):
+    return make_disturbance("uniform", 0.01 * np.ones(scenario.n_total),
+                            seed=seed)
+
+
+class TestPreparedSetup:
+    def test_cache_hit_gives_the_cold_result(self, monkeypatch):
+        s = load("formation3")
+        monkeypatch.setattr(plant, "_setup", EMPTY)
+        loop = cold(simulate_closed_loop, s, ell=3, steps=15,
+                    dist=uniform(s, 5))
+        optimal = cold(simulate_optimal_closed_loop, s, steps=5)
+        # runs that leave their laws and masks in the shared condensed
+        # problem before the same runs again; an optimal loop drops the
+        # oracle workspace it built there
+        simulate_closed_loop(s, ell=40, steps=15, dist=uniform(s, 6))
+        g = prepared(s)[2]
+        simulate_optimal_closed_loop(s, steps=3, eps=1e-3)
+        assert not g.oracle_ws and any(grp.law_mask.any() for grp in g.groups)
+        hot = simulate_closed_loop(s, ell=3, steps=15, dist=uniform(s, 5))
+        assert fingerprint(hot) == fingerprint(loop)
+        simulate_closed_loop(s, ell=1, steps=15, dist=uniform(s, 7))
+        assert np.array_equal(simulate_optimal_closed_loop(s, steps=5), optimal)
+        assert plant._setup[0] == s.digest() and prepared(s)[2] is g
+
+    @pytest.mark.parametrize("mutate", [
+        lambda s: s.agents[0].A.__setitem__((1, 1), 0.99),
+        lambda s: s.agents[1].input_poly.c.__setitem__(0, 0.5),
+        lambda s: setattr(s.coupling.rows[1], "b", 0.9),
+        lambda s: s.agents[2].x0.__setitem__(0, 0.35),
+        lambda s: s.agents[0].target.__setitem__(0, 3.7),
+        lambda s: s.agents[0].terminal_poly.c.__setitem__(0, 3.7),
+    ], ids=["A", "input_bound", "coupling_b", "x0", "target", "terminal"])
+    def test_in_place_change_gets_its_own_setup(self, monkeypatch, mutate):
+        s = load("formation3")
+        monkeypatch.setattr(plant, "_setup", EMPTY)
+        before = simulate_closed_loop(s, ell=2, steps=12, dist=uniform(s, 9))
+        mutate(s)
+        # the unchanged content still finds the kept set-up, untouched by
+        # the change made in place to the scenario it was built from
+        fresh = load("formation3")
+        again = simulate_closed_loop(fresh, ell=2, steps=12,
+                                     dist=uniform(fresh, 9))
+        assert fingerprint(again) == fingerprint(before)
+        after = simulate_closed_loop(s, ell=2, steps=12, dist=uniform(s, 9))
+        assert fingerprint(after) == fingerprint(
+            cold(simulate_closed_loop, s, ell=2, steps=12, dist=uniform(s, 9)))
+        assert not np.array_equal(after.states, before.states)
+        # one set-up is kept: the last content's
+        assert plant._setup[0] == s.digest() != fresh.digest()
+
+    def test_condenses_once_per_scenario_content(self, monkeypatch):
+        calls = []
+
+        def counting(scenario):
+            calls.append(scenario)
+            return condense_scenario(scenario)
+
+        monkeypatch.setattr(plant, "condense_scenario", counting)
+        monkeypatch.setattr(plant, "_setup", EMPTY)
+        s = load("formation3")
+        # five runs of one scenario, one per disturbance bound
+        iss_experiment(s, 1, [0.0, 0.01, 0.02, 0.03, 0.04], [1], steps=3)
+        assert len(calls) == 1
+        for k in range(5):
+            t = deepcopy(s)
+            t.agents[2].x0[0] += 0.01 * (k + 1)
+            simulate_closed_loop(t, ell=1, steps=3)
+        assert len(calls) == 6
