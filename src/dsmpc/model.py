@@ -1,13 +1,18 @@
 """Problem data: agent models, coupling constraints, scenario files, and
 standing-assumption checks (stabilizability, origin interiority, weight
 definiteness, terminal decrease) backed by a PBH test and a Riccati solver.
+
+The model types are immutable values with read-only arrays; a change is a
+`dataclasses.replace`, which validates again.  A caller's array is copied and
+checked once; an array already frozen, as every checked one is, is taken as is.
 """
 
 import hashlib
 import json
 import math
-from copy import copy
 from dataclasses import dataclass, field, replace
+from functools import cache, cached_property
+from types import MappingProxyType
 
 import numpy as np
 from scipy.linalg import solve_discrete_are
@@ -20,34 +25,58 @@ EQUILIBRIUM_TOL = 1e-9
 TERMINAL_TOL = 1e-8     # largest eigenvalue allowed in the decrease residual
 
 
-def _matrix(obj, what, rows=None, cols=None):
-    try:
-        M = np.array(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{what}: not a numeric matrix") from exc
-    if not np.all(np.isfinite(M)):
-        raise ParseError(f"{what}: non-finite entry")
-    if M.ndim == 1 and M.size == 0:
-        M = M.reshape(0, cols if cols is not None else 0)
-    if M.ndim != 2:
-        raise DimensionError(f"{what}: expected a 2-d matrix, got shape {M.shape}")
-    if rows is not None and M.shape[0] != rows:
-        raise DimensionError(f"{what}: expected {rows} rows, got {M.shape[0]}")
-    if cols is not None and M.shape[1] != cols:
-        raise DimensionError(f"{what}: expected {cols} columns, got {M.shape[1]}")
+def _frozen(M):
+    """M made read-only, owning its memory, so that no view can write it."""
+    if M.base is not None:
+        M = M.copy()
+    M.setflags(write=False)
     return M
 
 
+def _is_frozen(obj, ndim):
+    """Whether obj is a float array left by `_frozen`: read-only and owning its
+    memory.  A caller's array is one only if the caller froze it."""
+    return (type(obj) is np.ndarray and not obj.flags.writeable
+            and obj.base is None and obj.ndim == ndim and obj.dtype == float)
+
+
+def _set(obj, **fields):
+    """Set fields of a frozen instance while it is being constructed."""
+    vars(obj).update(fields)
+
+
+def _matrix(obj, what, rows=None, cols=None):
+    if not _is_frozen(obj, 2):
+        try:
+            M = np.array(obj, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{what}: not a numeric matrix") from exc
+        if not np.isfinite(M).all():
+            raise ParseError(f"{what}: non-finite entry")
+        if M.ndim == 1 and M.size == 0:
+            M = M.reshape(0, cols if cols is not None else 0)
+        if M.ndim != 2:
+            raise DimensionError(f"{what}: expected a 2-d matrix, got shape {M.shape}")
+        obj = _frozen(M)
+    if rows is not None and obj.shape[0] != rows:
+        raise DimensionError(f"{what}: expected {rows} rows, got {obj.shape[0]}")
+    if cols is not None and obj.shape[1] != cols:
+        raise DimensionError(f"{what}: expected {cols} columns, got {obj.shape[1]}")
+    return obj
+
+
 def _vector(obj, what, size=None):
-    try:
-        v = np.array(obj, dtype=float).reshape(-1)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{what}: not a numeric vector") from exc
-    if not np.all(np.isfinite(v)):
-        raise ParseError(f"{what}: non-finite entry")
-    if size is not None and v.size != size:
-        raise DimensionError(f"{what}: expected length {size}, got {v.size}")
-    return v
+    if not _is_frozen(obj, 1):
+        try:
+            v = np.asarray(obj, dtype=float).flatten()
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{what}: not a numeric vector") from exc
+        if not np.isfinite(v).all():
+            raise ParseError(f"{what}: non-finite entry")
+        obj = _frozen(v)
+    if size is not None and obj.size != size:
+        raise DimensionError(f"{what}: expected length {size}, got {obj.size}")
+    return obj
 
 
 def _scalar(obj, what, kind=int):
@@ -66,7 +95,7 @@ def _object(obj, what):
     return obj
 
 
-@dataclass
+@dataclass(frozen=True)
 class Polytope:
     """Halfspace set {z : C z <= c}.  Zero rows describe the whole space."""
 
@@ -74,14 +103,13 @@ class Polytope:
     c: np.ndarray
 
     def __post_init__(self):
-        self.C = np.atleast_2d(np.asarray(self.C, dtype=float))
-        self.c = np.asarray(self.c, dtype=float).reshape(-1)
-        if self.C.shape[0] != self.c.size:
-            raise DimensionError(
-                f"polytope: {self.C.shape[0]} rows but {self.c.size} offsets"
-            )
+        C, c = _matrix(self.C, "polytope: C"), _vector(self.c, "polytope: c")
+        if C.shape[0] != c.size:
+            raise DimensionError(f"polytope: {C.shape[0]} rows but {c.size} offsets")
+        _set(self, C=C, c=c)
 
     @staticmethod
+    @cache  # one shared instance per dimension: a polytope cannot change
     def unconstrained(dim):
         return Polytope(np.zeros((0, dim)), np.zeros(0))
 
@@ -109,13 +137,13 @@ class Polytope:
 
     def shifted(self, z):
         """Polytope of w such that w + z lies in this set."""
-        return Polytope(self.C.copy(), self.c - self.C @ z)
+        return Polytope(self.C, self.c - self.C @ z) if self.rows and z.any() else self
 
     def to_dict(self):
         return {"C": self.C.tolist(), "c": self.c.tolist()}
 
 
-@dataclass
+@dataclass(frozen=True)
 class AgentModel:
     """One agent's LTI dynamics, quadratic costs, and local constraint sets."""
 
@@ -134,35 +162,28 @@ class AgentModel:
     name: str = ""
 
     def __post_init__(self):
-        self.A = _matrix(self.A, "A")
-        n = self.A.shape[0]
-        if self.A.shape[1] != n:
+        A = _matrix(self.A, "A")
+        n = A.shape[0]
+        if A.shape[1] != n:
             raise DimensionError(f"agent {self.name}: A must be square")
-        self.B = _matrix(self.B, "B", rows=n)
-        m = self.B.shape[1]
-        self.Q = _matrix(self.Q, "Q", rows=n, cols=n)
-        self.R = _matrix(self.R, "R", rows=m, cols=m)
-        self.P = _matrix(self.P, "P", rows=n, cols=n)
-        self.check_polytopes()
-        self.disturbance_bound = _vector(
-            self.disturbance_bound, f"agent {self.name}: disturbance bound", size=n
-        )
-        if np.any(self.disturbance_bound < 0):
-            raise ValueError(f"agent {self.name}: disturbance bound must be >= 0")
-        self.x0 = _vector(self.x0, f"agent {self.name}: x0", size=n)
-        if self.target is not None:
-            self.target = _vector(self.target, f"agent {self.name}: target", size=n)
-
-    def check_polytopes(self):
-        for poly, dim, what in (
-            (self.input_poly, self.m, "input polytope"),
-            (self.state_poly, self.n, "state polytope"),
-            (self.terminal_poly, self.n, "terminal polytope"),
-        ):
+        B = _matrix(self.B, "B", rows=n)
+        m = B.shape[1]
+        for poly, dim, what in ((self.input_poly, m, "input polytope"),
+                                (self.state_poly, n, "state polytope"),
+                                (self.terminal_poly, n, "terminal polytope")):
             if poly.dim != dim:
-                raise DimensionError(
-                    f"agent {self.name}: {what} has dimension {poly.dim}, expected {dim}"
-                )
+                raise DimensionError(f"agent {self.name}: {what} has dimension "
+                                     f"{poly.dim}, expected {dim}")
+        bound = _vector(self.disturbance_bound,
+                        f"agent {self.name}: disturbance bound", size=n)
+        if (bound < 0).any():
+            raise ValueError(f"agent {self.name}: disturbance bound must be >= 0")
+        _set(self, A=A, B=B, Q=_matrix(self.Q, "Q", rows=n, cols=n),
+             R=_matrix(self.R, "R", rows=m, cols=m),
+             P=_matrix(self.P, "P", rows=n, cols=n), disturbance_bound=bound,
+             x0=_vector(self.x0, f"agent {self.name}: x0", size=n),
+             target=None if self.target is None else
+             _vector(self.target, f"agent {self.name}: target", size=n))
 
     @property
     def n(self):
@@ -183,40 +204,38 @@ class AgentModel:
         B = _matrix(d["B"], f"agent {name}: B", rows=n)
         m = B.shape[1]
         target = d.get("target")
-        if target is not None:
-            target = _vector(target, f"agent {name}: target", size=n)
+        target = None if target is None else _vector(target, f"agent {name}: target", n)
 
         def poly_of(key, dim):
             val = d.get(key)
             if val is None:
                 return Polytope.unconstrained(dim)
-            if "box" in _object(val, f"agent {name}: {key}"):
-                lo, hi = val["box"]
-                return Polytope.box(lo, hi)
-            return Polytope(
-                _matrix(val.get("C", []), f"agent {name}: {key}.C", cols=dim),
-                _vector(val.get("c", []), f"agent {name}: {key}.c"),
-            )
+            what = f"agent {name}: {key}"
+            if "box" in _object(val, what):
+                if not isinstance(val["box"], list) or len(val["box"]) != 2:
+                    raise ParseError(f"{what}.box: expected [lo, hi]")
+                return Polytope.box(*(_vector(v, f"{what}.box", size=dim)
+                                      for v in val["box"]))
+            return Polytope(_matrix(val.get("C", []), f"{what}.C", cols=dim),
+                            _vector(val.get("c", []), f"{what}.c"))
 
         term = d.get("terminal")
         term = {} if term is None else _object(term, f"agent {name}: terminal")
-        terminal_equality = False
-        if term.get("mode", "none") == "none":
+        mode = term.get("mode", "none")
+        terminal_equality = mode == "equality"
+        if mode == "none":
             terminal_poly = Polytope.unconstrained(n)
-        elif term.get("mode") == "equality":
+        elif terminal_equality:
             # Pins the terminal state to the target (the origin once shifted).
-            terminal_equality = True
             xbar = target if target is not None else np.zeros(n)
-            terminal_poly = Polytope(
-                np.vstack([np.eye(n), -np.eye(n)]), np.concatenate([xbar, -xbar])
-            )
-        elif term.get("mode") == "polytope":
+            terminal_poly = Polytope(np.vstack([np.eye(n), -np.eye(n)]),
+                                     np.concatenate([xbar, -xbar]))
+        elif mode == "polytope":
             terminal_poly = Polytope(
                 _matrix(term.get("C", []), f"agent {name}: terminal.C", cols=n),
-                _vector(term.get("c", []), f"agent {name}: terminal.c"),
-            )
+                _vector(term.get("c", []), f"agent {name}: terminal.c"))
         else:
-            raise ParseError(f"agent {name}: unknown terminal mode {term.get('mode')!r}")
+            raise ParseError(f"agent {name}: unknown terminal mode {mode!r}")
 
         Q = _matrix(d["Q"], f"agent {name}: Q", rows=n, cols=n)
         R = _matrix(d["R"], f"agent {name}: R", rows=m, cols=m)
@@ -237,19 +256,13 @@ class AgentModel:
         )
 
     def to_dict(self):
-        term_mode = "equality" if self.terminal_equality else (
-            "polytope" if self.terminal_poly.rows else "none"
-        )
-        term = {"mode": term_mode}
-        if term_mode == "polytope":
+        term = {"mode": "equality" if self.terminal_equality else
+                "polytope" if self.terminal_poly.rows else "none"}
+        if term["mode"] == "polytope":
             term.update(self.terminal_poly.to_dict())
         return {
             "name": self.name,
-            "A": self.A.tolist(),
-            "B": self.B.tolist(),
-            "Q": self.Q.tolist(),
-            "R": self.R.tolist(),
-            "P": self.P.tolist(),
+            **{key: getattr(self, key).tolist() for key in "ABQRP"},
             "input_poly": self.input_poly.to_dict(),
             "state_poly": self.state_poly.to_dict(),
             "terminal": term,
@@ -259,23 +272,34 @@ class AgentModel:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class CouplingRow:
-    """One scalar shared-resource row: sum_i Eu_i u_i + Ex_i x_i <= b."""
+    """One scalar shared-resource row: sum_i Eu_i u_i + Ex_i x_i <= b.  The
+    blocks are read-only; the scenario checks them against its agents."""
 
-    Eu: dict
-    Ex: dict
+    Eu: MappingProxyType
+    Ex: MappingProxyType
     b: float
+
+    def __post_init__(self):
+        def frozen(blocks):  # the scenario checks the entries
+            return MappingProxyType({
+                i: v if _is_frozen(v, 1) else _frozen(np.asarray(v, float).flatten())
+                for i, v in blocks.items()})
+        _set(self, Eu=frozen(self.Eu), Ex=frozen(self.Ex), b=float(self.b))
 
     def agents(self):
         return sorted(set(self.Eu) | set(self.Ex))
 
 
-@dataclass
+@dataclass(frozen=True)
 class CouplingSpec:
     """All coupling rows, stored in scalar (one row per constraint) form."""
 
-    rows: list
+    rows: tuple
+
+    def __post_init__(self):
+        _set(self, rows=tuple(self.rows))
 
     @property
     def p(self):
@@ -286,11 +310,11 @@ class CouplingSpec:
         and Ex (p, sum n_i), so that row k reads Eu u + Ex x <= b_k.  Raises
         on a row that names no agent, has a block off the agents' index range
         or of the wrong length, or has an entry that is not finite."""
-        u_off = np.cumsum([0] + [a.m for a in agents])
-        x_off = np.cumsum([0] + [a.n for a in agents])
+        u_off = np.cumsum([0] + [a.m for a in agents]).tolist()
+        x_off = np.cumsum([0] + [a.n for a in agents]).tolist()
         Eu, Ex = np.zeros((self.p, u_off[-1])), np.zeros((self.p, x_off[-1]))
         for k, row in enumerate(self.rows):
-            if not row.agents():
+            if not (row.Eu or row.Ex):
                 raise ParseError(f"coupling row {k}: references no agents")
             for key, blocks, out, off in (("Eu", row.Eu, Eu, u_off),
                                           ("Ex", row.Ex, Ex, x_off)):
@@ -298,16 +322,17 @@ class CouplingSpec:
                     if not (isinstance(i, (int, np.integer)) and 0 <= i < len(agents)):
                         raise ParseError(
                             f"coupling row {k}: agent index {i!r} out of range")
-                    if np.size(v) != off[i + 1] - off[i]:
+                    lo, hi = off[i], off[i + 1]
+                    if v.size != hi - lo:
                         raise DimensionError(
                             f"coupling row {k}: {key} block for agent {i} has "
-                            f"length {np.size(v)}, expected {off[i + 1] - off[i]}")
-                    out[k, off[i]:off[i + 1]] = v
+                            f"length {v.size}, expected {hi - lo}")
+                    out[k, lo:hi] = v
         b = np.array([row.b for row in self.rows], dtype=float)
         bad = ~np.isfinite(np.column_stack([Eu, Ex, b])).all(1)
         if bad.any():
             raise ValueError(f"coupling row {bad.argmax()}: entry is not finite")
-        return Eu, Ex, b
+        return _frozen(Eu), _frozen(Ex), _frozen(b)
 
     @classmethod
     def from_list(cls, items):
@@ -331,46 +356,33 @@ class CouplingSpec:
                 bound = _vector(bound, f"coupling row {k}: bound", sel.shape[0])
                 for r in range(sel.shape[0]):
                     s = sel[r]
-                    rows.append(CouplingRow({}, {i: s.copy(), j: -s}, float(bound[r])))
-                    rows.append(CouplingRow({}, {i: -s, j: s.copy()}, float(bound[r])))
+                    rows.append(CouplingRow({}, {i: s, j: -s}, bound[r]))
+                    rows.append(CouplingRow({}, {i: -s, j: s}, bound[r]))
                 continue
             b = _vector(item.get("b", []), f"coupling row {k}: b")
-            nrows = b.size
-            if nrows == 0:
+            if b.size == 0:
                 raise ParseError(f"coupling row {k}: empty right-hand side")
-            eu, ex = ({int(i): _matrix(v, f"coupling row {k}: {key}[{i}]", rows=nrows)
+            eu, ex = ({int(i): _matrix(v, f"coupling row {k}: {key}[{i}]", rows=b.size)
                        for i, v in _object(item.get(key) or {},
                                            f"coupling row {k}: {key}").items()}
                       for key in ("Eu", "Ex"))
-            for r in range(nrows):
-                rows.append(
-                    CouplingRow(
-                        {i: v[r].copy() for i, v in eu.items()},
-                        {i: v[r].copy() for i, v in ex.items()},
-                        float(b[r]),
-                    )
-                )
+            rows += [CouplingRow({i: v[r] for i, v in eu.items()},
+                                 {i: v[r] for i, v in ex.items()}, b[r])
+                     for r in range(b.size)]
         return cls(rows)
 
     def to_dict(self):
-        out = []
-        for row in self.rows:
-            out.append(
-                {
-                    "agents": row.agents(),
-                    "Eu": {str(i): [v.tolist()] for i, v in sorted(row.Eu.items())},
-                    "Ex": {str(i): [v.tolist()] for i, v in sorted(row.Ex.items())},
-                    "b": [row.b],
-                }
-            )
-        return out
+        return [{"agents": row.agents(),
+                 **{key: {str(i): [v.tolist()] for i, v in sorted(blocks.items())}
+                    for key, blocks in (("Eu", row.Eu), ("Ex", row.Ex))},
+                 "b": [row.b]} for row in self.rows]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     """A full problem instance: agents, coupling, horizon, and run defaults."""
 
-    agents: list
+    agents: tuple
     coupling: CouplingSpec
     horizon: int
     epsilon: float
@@ -385,15 +397,15 @@ class Scenario:
     def __post_init__(self):
         if not self.agents:
             raise ValueError("scenario has no agents")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        for key in ("horizon", "iterations", "sim_steps"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if self.sim_steps < 1:
-            raise ValueError(f"sim_steps must be >= 1, got {self.sim_steps}")
-        self.stage = self.coupling.stage_matrices(self.agents)
+        _set(self, agents=tuple(self.agents),
+             stage=self.coupling.stage_matrices(self.agents),
+             shift=None if self.shift is None else
+             tuple(_vector(v, "shift") for v in self.shift))
 
     @property
     def n_total(self):
@@ -407,11 +419,15 @@ class Scenario:
         return np.concatenate([a.x0 for a in self.agents])
 
     def targets_stacked(self):
-        return np.concatenate(
-            [a.target if a.target is not None else np.zeros(a.n) for a in self.agents]
-        )
+        return np.concatenate([a.target if a.target is not None else np.zeros(a.n)
+                               for a in self.agents])
 
     def digest(self):
+        """SHA-256 of the content, hashed on the first call only."""
+        return self._digest
+
+    @cached_property
+    def _digest(self):
         doc = self.to_dict()  # + terminal equality rows: the set-up reads them
         for a, agent in zip(self.agents, doc["agents"]):
             if a.terminal_equality:
@@ -423,42 +439,26 @@ class Scenario:
     def from_dict(cls, d):
         if not isinstance(d, dict):
             raise ParseError("expected a JSON object")
-        if "agents" not in d:
-            raise ParseError("missing 'agents'")
-        if not isinstance(d["agents"], list):
-            raise ParseError("'agents' must be a list")
-        agents = [AgentModel.from_dict(a, name=f"agent{i}")
-                  for i, a in enumerate(d["agents"])]
-        if not agents:
-            raise ValueError("scenario has no agents")
-        coupling = CouplingSpec.from_list(d.get("coupling", []))
         try:
-            horizon = _scalar(d["horizon"], "horizon")
-            epsilon = _scalar(d["epsilon"], "epsilon", float)
+            agents, horizon, epsilon = d["agents"], d["horizon"], d["epsilon"]
         except KeyError as exc:
             raise ParseError(f"missing {exc}") from exc
+        if not isinstance(agents, list):
+            raise ParseError("'agents' must be a list")
         return cls(
-            agents=agents,
-            coupling=coupling,
-            horizon=horizon,
-            epsilon=epsilon,
+            agents=[AgentModel.from_dict(a, f"agent{i}") for i, a in enumerate(agents)],
+            coupling=CouplingSpec.from_list(d.get("coupling", [])),
+            horizon=_scalar(horizon, "horizon"),
+            epsilon=_scalar(epsilon, "epsilon", float),
             iterations=_scalar(d.get("iterations", 1), "iterations"),
             sim_steps=_scalar(d.get("sim_steps", 50), "sim_steps"),
-            seed=_scalar(d.get("seed", 0), "seed"),
-            name=str(d.get("name", "scenario")),
-        )
+            seed=_scalar(d.get("seed", 0), "seed"), name=str(d.get("name", "scenario")))
 
     def to_dict(self):
-        return {
-            "name": self.name,
-            "horizon": self.horizon,
-            "epsilon": self.epsilon,
-            "iterations": self.iterations,
-            "sim_steps": self.sim_steps,
-            "seed": self.seed,
-            "agents": [a.to_dict() for a in self.agents],
-            "coupling": self.coupling.to_dict(),
-        }
+        return {**{key: getattr(self, key) for key in (
+                    "name", "horizon", "epsilon", "iterations", "sim_steps", "seed")},
+                "agents": [a.to_dict() for a in self.agents],
+                "coupling": self.coupling.to_dict()}
 
 
 def load_scenario(path):
@@ -609,19 +609,17 @@ def shift_to_target(scenario):
                     f"agent {a.name}: target is not an equilibrium "
                     f"(residual {resid:.3e})"
                 )
-        shifted = copy(a)
-        shifted.input_poly = a.input_poly.shifted(ubar)
-        shifted.state_poly = a.state_poly.shifted(xbar)
-        shifted.terminal_poly = a.terminal_poly.shifted(xbar)
-        shifted.x0, shifted.target = a.x0 - xbar, None
-        shifted.check_polytopes()
         xbars.append(xbar)
         ubars.append(ubar)
-        agents.append(shifted)
+        agents.append(replace(
+            a, input_poly=a.input_poly.shifted(ubar),
+            state_poly=a.state_poly.shifted(xbar),
+            terminal_poly=a.terminal_poly.shifted(xbar), x0=a.x0 - xbar,
+            target=None))
 
     xbar, ubar = np.concatenate(xbars), np.concatenate(ubars)
     Eu, Ex, _ = scenario.stage
-    rows = [CouplingRow(dict(row.Eu), dict(row.Ex), row.b - float(offset))
+    rows = [CouplingRow(row.Eu, row.Ex, row.b - float(offset))
             for row, offset in zip(scenario.coupling.rows, Ex @ xbar + Eu @ ubar)]
     return replace(scenario, agents=agents, coupling=CouplingSpec(rows),
                    shift=(xbar, ubar))

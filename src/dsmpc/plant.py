@@ -6,7 +6,6 @@ recovered, and the plant steps forward under a bounded disturbance.
 
 import json
 import time
-from copy import deepcopy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,15 +16,15 @@ from .coordinator import (batched_solves, default_step, lipschitz_constant,
 from .errors import DimensionError, Infeasible, UnknownKind
 from .model import shift_to_target
 
-_setup = (None, None, None)  # the last (digest, shifted, g), on a private copy
+_setup = (None, None, None)  # the last (digest, shifted, g)
 
 
 def prepared(scenario):
-    """(digest, shifted copy, condensed problem), kept for the last digest."""
+    """(digest, shifted scenario, condensed problem), kept for the last digest."""
     global _setup
     digest = scenario.digest()
     if digest != _setup[0]:
-        shifted = shift_to_target(deepcopy(scenario))
+        shifted = shift_to_target(scenario)
         _setup = digest, shifted, condense_scenario(shifted)
     return _setup
 

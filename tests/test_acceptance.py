@@ -3,6 +3,8 @@ printing a single PASS/FAIL line.  Tolerances are pinned here and nowhere
 else.  Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -228,10 +230,10 @@ class TestAcceptance:
                 # jitter it, staying away from the feasibility boundary
                 scale = rng.uniform(0.55, 0.9)
                 jitter = rng.uniform(-0.02, 0.02, size=s.n_total)
-                off = 0
-                for a in s.agents:
-                    a.x0 = scale * a.x0 + jitter[off:off + a.n]
-                    off += a.n
+                off = np.cumsum([0] + [a.n for a in s.agents])
+                s = replace(s, agents=[
+                    replace(a, x0=scale * a.x0 + jitter[off[i]:off[i + 1]])
+                    for i, a in enumerate(s.agents)])
             try:
                 # s is already in shifted coordinates, so the loop reports
                 # states in that frame directly

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -72,8 +73,7 @@ class TestContractionEstimate:
 class TestViolationProfile:
     def test_equilibrium_all_zero(self, formation3):
         s = shift_to_target(formation3)
-        for a in s.agents:
-            a.x0 = np.zeros(a.n)
+        s = replace(s, agents=[replace(a, x0=np.zeros(a.n)) for a in s.agents])
         tr = simulate_closed_loop(s, ell=1, steps=6)
         assert np.all(violation_profile(tr) == 0.0)
 

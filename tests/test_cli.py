@@ -98,6 +98,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 3 and "error: scenario:" in err and named in err, err
 
+    @pytest.mark.parametrize("box", [
+        [[-1.0, float("nan")], [1.0, 1.0]], [[-1.0, -1.0], [float("inf"), 1.0]],
+        [[-float("inf"), -1.0], [1.0, 1.0]], [[-1.0, -1.0]],
+    ], ids=["nan", "inf", "minus_inf", "one_bound"])
+    @pytest.mark.parametrize("cmd", ["check", "simulate"])
+    def test_bad_box_scenario_error(self, tmp_path, formation3_path, capsys,
+                                    cmd, box):
+        # a box bound is checked like any other vector: a non-finite entry
+        # or a missing bound names the agent and the field, and exits 3
+        doc = json.loads(open(formation3_path).read())
+        doc["agents"][0]["input_poly"] = {"box": box}
+        bad = tmp_path / "box.json"
+        bad.write_text(json.dumps(doc))  # JSON literals NaN / Infinity
+        code = run([cmd, "--scenario", str(bad), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 3 and "agent agent1: input_poly.box" in err, err
+
     @pytest.mark.parametrize("key,value", [("horizon", 2.5), ("iterations", 1.5),
                                            ("sim_steps", 2.5), ("seed", 0.5)])
     def test_non_integral_field_scenario_error(self, tmp_path, formation3_path,

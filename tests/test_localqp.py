@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -404,9 +406,9 @@ class TestBatchedInnerSolves:
         assert paths == {False, True}  # trivial returns and active rows
 
     def test_empty_agent_polytope_raises(self):
-        empty = shaped_agent(1, seed=6)
-        empty.input_poly = Polytope(np.array([[1.0], [-1.0]]),
-                                    np.array([-1.0, -1.0]))
+        empty = replace(shaped_agent(1, seed=6),
+                        input_poly=Polytope(np.array([[1.0], [-1.0]]),
+                                            np.array([-1.0, -1.0])))
         g = mixed_global([shaped_agent(1, box=0.3, seed=0), empty], 1)
         with pytest.raises(Infeasible):
             batched_solves(g, g.state_terms(np.zeros(g.n_total)),

@@ -1,15 +1,19 @@
 import json
 import time
+from dataclasses import FrozenInstanceError, fields, replace
+from operator import setitem
 
 import numpy as np
 import pytest
 
 from dsmpc.errors import (DimensionError, NoConvergence, NotEquilibrium,
                           ParseError)
-from dsmpc.model import (CouplingRow, CouplingSpec, Polytope, Scenario,
-                         _matrix, _vector, load_scenario, save_scenario,
-                         shift_to_target, solve_dare, validate_assumptions)
+from dsmpc.model import (AgentModel, CouplingRow, CouplingSpec, Polytope,
+                         Scenario, _matrix, _vector, load_scenario,
+                         save_scenario, shift_to_target, solve_dare,
+                         validate_assumptions)
 
+from conftest import make_pair_scenario
 from oracles import controllable, golden_ratio
 
 
@@ -296,7 +300,7 @@ class TestCouplingValidatedAtConstruction:
     def test_bad_row_rejected(self, formation3, row, error):
         with pytest.raises(error, match="coupling row 12"):
             Scenario(agents=formation3.agents,
-                     coupling=CouplingSpec(formation3.coupling.rows + [row]),
+                     coupling=CouplingSpec((*formation3.coupling.rows, row)),
                      horizon=formation3.horizon, epsilon=formation3.epsilon)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -308,5 +312,98 @@ class TestCouplingValidatedAtConstruction:
         row = CouplingRow(**{"Eu": {}, "Ex": {}, key: {0: block}, "b": 1.0})
         with pytest.raises(ValueError, match="coupling row 12"):
             Scenario(agents=formation3.agents,
-                     coupling=CouplingSpec(formation3.coupling.rows + [row]),
+                     coupling=CouplingSpec((*formation3.coupling.rows, row)),
                      horizon=formation3.horizon, epsilon=formation3.epsilon)
+
+
+class TestBoxBounds:
+    @pytest.mark.parametrize("box", [
+        [[-1.0, float("nan")], [1.0, 1.0]], [[-1.0, -1.0], [float("inf"), 1.0]],
+        [[-float("inf"), -1.0], [1.0, 1.0]], [[-1.0, -1.0]],
+        [[-1.0, -1.0], [1.0, 1.0], [2.0, 2.0]], "box",
+    ], ids=["nan", "inf", "minus_inf", "one_bound", "three_bounds", "string"])
+    def test_bad_box_is_parse_error(self, formation3_path, box):
+        doc = json.loads(open(formation3_path).read())
+        doc["agents"][0]["input_poly"] = {"box": box}
+        with pytest.raises(ParseError, match=r"agent agent1: input_poly\.box"):
+            Scenario.from_dict(doc)
+
+    def test_box_of_wrong_length_names_the_field(self, formation3_path):
+        doc = json.loads(open(formation3_path).read())
+        doc["agents"][0]["state_poly"] = {"box": [[-1.0], [1.0]]}  # 4 states
+        with pytest.raises(DimensionError, match=r"agent1: state_poly\.box"):
+            Scenario.from_dict(doc)
+
+
+def frozen_rebinds(s):
+    """(object, field) for every field of every model object in s."""
+    row, agent = s.coupling.rows[0], s.agents[0]
+    return [(obj, f.name) for obj in (s, s.coupling, row, agent, agent.input_poly)
+            for f in fields(obj)]
+
+
+class TestImmutable:
+    # a scenario cannot change in place, so its stage rows and digest cannot
+    # go stale: every change below raises and leaves the content as loaded
+    @pytest.mark.parametrize("change, error", [
+        (lambda s: setitem(s.coupling.rows[0].Ex[0], 0, 2.0), ValueError),
+        (lambda s: setattr(s.coupling.rows[1], "b", 0.9), FrozenInstanceError),
+        (lambda s: setitem(s.coupling.rows[0].Eu, 2, np.ones(2)), TypeError),
+        (lambda s: setitem(s.agents[0].A, (0, 0), 2.0), ValueError),
+        (lambda s: setitem(s.agents[2].x0, 0, 0.35), ValueError),
+        (lambda s: setitem(s.agents[1].input_poly.c, 0, 0.5), ValueError),
+        (lambda s: setitem(s.stage[1], (0, 0), 2.0), ValueError),
+        (lambda s: s.coupling.rows.append(s.coupling.rows[0]), AttributeError),
+        (lambda s: s.agents.append(s.agents[0]), AttributeError),
+    ], ids=["row_Ex_entry", "row_b", "row_new_block", "A", "x0", "polytope_c",
+            "stage", "append_row", "append_agent"])
+    def test_change_in_place_raises(self, formation3_path, change, error):
+        s = load_scenario(formation3_path)
+        stage = [M.copy() for M in s.stage]
+        with pytest.raises(error):
+            change(s)
+        assert s.digest() == load_scenario(formation3_path).digest()
+        assert all(np.array_equal(M, N) for M, N in zip(s.stage, stage))
+
+    def test_rebinding_any_field_raises(self, formation3_path):
+        s = load_scenario(formation3_path)
+        for obj, name in frozen_rebinds(s):
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, name, getattr(obj, name))
+
+    def test_caller_arrays_are_copied(self):
+        A, B, Ex = np.array([[0.5]]), np.array([[1.0]]), np.array([1.0])
+        x0, lo, blocks = np.array([0.8]), np.array([-5.0]), {0: Ex, 1: Ex}
+        agents = [AgentModel(A=A, B=B, Q=np.eye(1), R=np.eye(1), P=np.eye(1),
+                             input_poly=Polytope.box(lo, -lo),
+                             state_poly=Polytope.unconstrained(1),
+                             terminal_poly=Polytope.unconstrained(1),
+                             terminal_equality=False, disturbance_bound=[0.0],
+                             x0=x0) for _ in range(2)]
+        rows = [CouplingRow({}, blocks, 0.3)]
+        s = Scenario(agents=agents, coupling=CouplingSpec(rows), horizon=3,
+                     epsilon=1.0)
+        digest, stage = s.digest(), [M.copy() for M in s.stage]
+        A[0, 0] = B[0, 0] = x0[0] = lo[0] = Ex[0] = 7.0
+        blocks[2] = Ex
+        rows.append(rows[0])
+        fresh = replace(s)  # built again, so hashed and stacked again
+        assert s.digest() == fresh.digest() == digest
+        for kept in (s, fresh):
+            assert all(np.array_equal(M, N) for M, N in zip(kept.stage, stage))
+        assert s.agents[0].A[0, 0] == 0.5 and s.agents[0].x0[0] == 0.8
+        assert s.agents[0].input_poly.c.tolist() == [5.0, 5.0]
+        assert s.coupling.p == 1 and sorted(s.coupling.rows[0].Ex) == [0, 1]
+
+
+class TestDigestPinned:
+    # the scenario file format and to_dict are unchanged, so are the digests
+    def test_bundled_and_pair_digests(self, formation3):
+        assert formation3.digest().startswith("503889b5e5e6")
+        assert make_pair_scenario().digest().startswith("e999fb8ff150")
+
+    def test_unchanged_copy_keeps_the_digest(self, formation3):
+        copy = replace(formation3)
+        assert copy is not formation3 and copy.digest() == formation3.digest()
+        agents = [replace(a) for a in formation3.agents]
+        assert replace(formation3, agents=agents).digest() == formation3.digest()

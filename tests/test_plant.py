@@ -1,4 +1,4 @@
-from copy import copy, deepcopy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from dsmpc.analysis import iss_experiment
 from dsmpc.condense import condense_scenario
 from dsmpc.coordinator import run_ada
 from dsmpc.errors import DimensionError, UnknownKind
-from dsmpc.model import shift_to_target
+from dsmpc.model import CouplingSpec, Polytope, Scenario, shift_to_target
 from dsmpc.oracle import simulate_optimal_closed_loop
 from dsmpc.plant import (make_disturbance, plant_step, prepared,
                          simulate_closed_loop)
@@ -46,9 +46,14 @@ class TestPlantStep:
         rng = np.random.default_rng(4)
         agents = []
         for n, m in [(2, 1), (3, 2), (2, 1), (2, 2), (3, 2), (2, 1)]:
-            a = copy(formation3.agents[0])
-            a.A, a.B = rng.normal(size=(n, n)), rng.normal(size=(n, m))
-            agents.append(a)
+            agents.append(replace(
+                formation3.agents[0], A=rng.normal(size=(n, n)),
+                B=rng.normal(size=(n, m)), Q=np.eye(n), R=np.eye(m),
+                P=np.eye(n), input_poly=Polytope.unconstrained(m),
+                state_poly=Polytope.unconstrained(n),
+                terminal_poly=Polytope.unconstrained(n),
+                terminal_equality=False, disturbance_bound=np.zeros(n),
+                x0=np.zeros(n), target=None))
         x, d = rng.normal(size=14), rng.normal(size=14)
         u = rng.normal(size=9)
         expected, ox, ou = [], 0, 0
@@ -113,8 +118,7 @@ class TestSimulateClosedLoop:
     def test_equilibrium_stays_put(self, formation3):
         s = shift_to_target(formation3)
         # place every agent exactly at its (shifted) target
-        for a in s.agents:
-            a.x0 = np.zeros(a.n)
+        s = replace(s, agents=[replace(a, x0=np.zeros(a.n)) for a in s.agents])
         tr = simulate_closed_loop(s, ell=2, steps=8)
         assert np.max(np.abs(tr.states)) <= 1e-12
         assert np.max(np.abs(tr.inputs)) <= 1e-12
@@ -176,11 +180,10 @@ class TestSimulateClosedLoop:
         # fine locally (no local rows hit), so force a local infeasibility
         # through a tight input box and an unreachable terminal pin
         s = make_pair_scenario(box=0.01)
-        for a in s.agents:
-            a.terminal_equality = True
-            from dsmpc.model import Polytope
-            a.terminal_poly = Polytope(np.array([[1.0], [-1.0]]), np.zeros(2))
-            a.P = np.zeros((1, 1))
+        pin = Polytope(np.array([[1.0], [-1.0]]), np.zeros(2))
+        s = replace(s, agents=[
+            replace(a, terminal_equality=True, terminal_poly=pin, P=np.zeros((1, 1)))
+            for a in s.agents])
         tr = simulate_closed_loop(s, ell=1, steps=5)
         assert tr.infeasible_at == 0
         assert tr.states.shape[0] == 1
@@ -211,8 +214,7 @@ class TestNonzeroEquilibriumInput:
     def test_holds_target_with_steady_input(self):
         # A=0.5, B=1, target 1 requires the steady input u = 0.5; the loop
         # must settle on the target while reporting original-frame inputs
-        from dsmpc.model import (AgentModel, CouplingSpec, Polytope, Scenario,
-                                 shift_to_target, solve_dare)
+        from dsmpc.model import AgentModel, solve_dare
 
         P, _ = solve_dare([[0.5]], [[1.0]], [[1.0]], [[1.0]])
         agent = AgentModel(
@@ -243,6 +245,20 @@ def fingerprint(tr):
 
 
 EMPTY = (None, None, None)
+
+
+def with_entry(array, index, value):
+    """A copy of `array` with one entry set."""
+    out = array.copy()
+    out[index] = value
+    return out
+
+
+def with_agent(scenario, i, **changes):
+    """A copy of `scenario` whose agent i has the fields given."""
+    agents = list(scenario.agents)
+    agents[i] = replace(agents[i], **changes)
+    return replace(scenario, agents=agents)
 
 
 def cold(run, scenario, **kw):
@@ -278,31 +294,37 @@ class TestPreparedSetup:
         assert np.array_equal(simulate_optimal_closed_loop(s, steps=5), optimal)
         assert plant._setup[0] == s.digest() and prepared(s)[2] is g
 
-    @pytest.mark.parametrize("mutate", [
-        lambda s: s.agents[0].A.__setitem__((1, 1), 0.99),
-        lambda s: s.agents[1].input_poly.c.__setitem__(0, 0.5),
-        lambda s: setattr(s.coupling.rows[1], "b", 0.9),
-        lambda s: s.agents[2].x0.__setitem__(0, 0.35),
-        lambda s: s.agents[0].target.__setitem__(0, 3.7),
-        lambda s: s.agents[0].terminal_poly.c.__setitem__(0, 3.7),
+    @pytest.mark.parametrize("change", [
+        lambda s: with_agent(s, 0, A=with_entry(s.agents[0].A, (1, 1), 0.99)),
+        lambda s: with_agent(s, 1, input_poly=replace(
+            s.agents[1].input_poly, c=with_entry(s.agents[1].input_poly.c, 0, 0.5))),
+        lambda s: replace(s, coupling=CouplingSpec(
+            replace(row, b=0.9) if k == 1 else row
+            for k, row in enumerate(s.coupling.rows))),
+        lambda s: with_agent(s, 2, x0=with_entry(s.agents[2].x0, 0, 0.35)),
+        lambda s: with_agent(s, 0, target=with_entry(s.agents[0].target, 0, 3.7)),
+        lambda s: with_agent(s, 0, terminal_poly=replace(
+            s.agents[0].terminal_poly,
+            c=with_entry(s.agents[0].terminal_poly.c, 0, 3.7))),
     ], ids=["A", "input_bound", "coupling_b", "x0", "target", "terminal"])
-    def test_in_place_change_gets_its_own_setup(self, monkeypatch, mutate):
+    def test_in_place_change_gets_its_own_setup(self, monkeypatch, change):
+        # a scenario cannot change in place, so each change is a changed copy
         s = load("formation3")
         monkeypatch.setattr(plant, "_setup", EMPTY)
         before = simulate_closed_loop(s, ell=2, steps=12, dist=uniform(s, 9))
-        mutate(s)
+        t = change(s)
         # the unchanged content still finds the kept set-up, untouched by
-        # the change made in place to the scenario it was built from
+        # the copy changed from the scenario it was built from
         fresh = load("formation3")
         again = simulate_closed_loop(fresh, ell=2, steps=12,
                                      dist=uniform(fresh, 9))
         assert fingerprint(again) == fingerprint(before)
-        after = simulate_closed_loop(s, ell=2, steps=12, dist=uniform(s, 9))
+        after = simulate_closed_loop(t, ell=2, steps=12, dist=uniform(t, 9))
         assert fingerprint(after) == fingerprint(
-            cold(simulate_closed_loop, s, ell=2, steps=12, dist=uniform(s, 9)))
+            cold(simulate_closed_loop, t, ell=2, steps=12, dist=uniform(t, 9)))
         assert not np.array_equal(after.states, before.states)
         # one set-up is kept: the last content's
-        assert plant._setup[0] == s.digest() != fresh.digest()
+        assert plant._setup[0] == t.digest() != fresh.digest() == s.digest()
 
     def test_condenses_once_per_scenario_content(self, monkeypatch):
         calls = []
@@ -317,8 +339,22 @@ class TestPreparedSetup:
         # five runs of one scenario, one per disturbance bound
         iss_experiment(s, 1, [0.0, 0.01, 0.02, 0.03, 0.04], [1], steps=3)
         assert len(calls) == 1
+        x0 = s.agents[2].x0
         for k in range(5):
-            t = deepcopy(s)
-            t.agents[2].x0[0] += 0.01 * (k + 1)
+            t = with_agent(s, 2, x0=with_entry(x0, 0, x0[0] + 0.01 * (k + 1)))
             simulate_closed_loop(t, ell=1, steps=3)
         assert len(calls) == 6
+
+    def test_repeat_run_hashes_nothing(self, monkeypatch):
+        # the digest is hashed once per scenario object, so a second run of
+        # the same object finds the kept set-up without encoding the content
+        s = load("formation3")
+        monkeypatch.setattr(plant, "_setup", EMPTY)
+        first = simulate_closed_loop(s, ell=1, steps=3)
+        calls = []
+        to_dict = Scenario.to_dict
+        monkeypatch.setattr(Scenario, "to_dict",
+                            lambda self: calls.append(self) or to_dict(self))
+        again = simulate_closed_loop(s, ell=1, steps=3)
+        assert calls == []
+        assert fingerprint(again) == fingerprint(first)
