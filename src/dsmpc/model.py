@@ -3,13 +3,15 @@ standing-assumption checks (stabilizability, origin interiority, weight
 definiteness, terminal decrease) backed by a PBH test and a Riccati solver.
 
 The model types are immutable values with read-only arrays; a change is a
-`dataclasses.replace`, which validates again.  A caller's array is copied and
-checked once; an array already frozen, as every checked one is, is taken as is.
+`dataclasses.replace`, which validates again.  A caller's array is always
+copied and checked; only an array this module froze is taken as is.  Values
+compare and hash by identity; equal content has equal `Scenario.digest()`.
 """
 
 import hashlib
 import json
 import math
+import weakref
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from types import MappingProxyType
@@ -23,21 +25,23 @@ DARE_RESIDUAL_TOL = 1e-10
 PBH_TOL = 1e-9
 EQUILIBRIUM_TOL = 1e-9
 TERMINAL_TOL = 1e-8     # largest eigenvalue allowed in the decrease residual
+_made = weakref.WeakValueDictionary()  # id -> each array `_frozen` returned
 
 
 def _frozen(M):
-    """M made read-only, owning its memory, so that no view can write it."""
+    """M made read-only, owning its memory, so that no view can write it, and
+    registered as one that `_is_frozen` trusts."""
     if M.base is not None:
         M = M.copy()
     M.setflags(write=False)
+    _made[id(M)] = M
     return M
 
 
 def _is_frozen(obj, ndim):
-    """Whether obj is a float array left by `_frozen`: read-only and owning its
-    memory.  A caller's array is one only if the caller froze it."""
-    return (type(obj) is np.ndarray and not obj.flags.writeable
-            and obj.base is None and obj.ndim == ndim and obj.dtype == float)
+    """Whether obj is an array of `ndim` dimensions that `_frozen` made.  A
+    caller's array never is, even read-only: its owner can make it writable."""
+    return _made.get(id(obj)) is obj and obj.ndim == ndim
 
 
 def _set(obj, **fields):
@@ -95,7 +99,7 @@ def _object(obj, what):
     return obj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Polytope:
     """Halfspace set {z : C z <= c}.  Zero rows describe the whole space."""
 
@@ -130,10 +134,10 @@ class Polytope:
     def dim(self):
         return self.C.shape[1]
 
-    def contains(self, z, tol=0.0):
+    def contains(self, z):
         if self.rows == 0:
             return True
-        return bool(np.all(self.C @ np.asarray(z, dtype=float) <= self.c + tol))
+        return bool(np.all(self.C @ np.asarray(z, dtype=float) <= self.c))
 
     def shifted(self, z):
         """Polytope of w such that w + z lies in this set."""
@@ -143,7 +147,7 @@ class Polytope:
         return {"C": self.C.tolist(), "c": self.c.tolist()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AgentModel:
     """One agent's LTI dynamics, quadratic costs, and local constraint sets."""
 
@@ -228,8 +232,7 @@ class AgentModel:
         elif terminal_equality:
             # Pins the terminal state to the target (the origin once shifted).
             xbar = target if target is not None else np.zeros(n)
-            terminal_poly = Polytope(np.vstack([np.eye(n), -np.eye(n)]),
-                                     np.concatenate([xbar, -xbar]))
+            terminal_poly = Polytope.box(xbar, xbar)
         elif mode == "polytope":
             terminal_poly = Polytope(
                 _matrix(term.get("C", []), f"agent {name}: terminal.C", cols=n),
@@ -272,7 +275,7 @@ class AgentModel:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CouplingRow:
     """One scalar shared-resource row: sum_i Eu_i u_i + Ex_i x_i <= b.  The
     blocks are read-only; the scenario checks them against its agents."""
@@ -292,7 +295,7 @@ class CouplingRow:
         return sorted(set(self.Eu) | set(self.Ex))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CouplingSpec:
     """All coupling rows, stored in scalar (one row per constraint) form."""
 
@@ -341,8 +344,8 @@ class CouplingSpec:
         rows = []
         for k, item in enumerate(items):
             _object(item, f"coupling row {k}")
-            if "abs_state_diff" in item or item.get("type") == "abs_state_diff":
-                spec = _object(item.get("abs_state_diff", item),
+            if "abs_state_diff" in item:
+                spec = _object(item["abs_state_diff"],
                                f"coupling row {k}: abs_state_diff")
                 try:
                     (i, j), sel, bound = spec["agents"], spec["select"], spec["bound"]
@@ -378,7 +381,7 @@ class CouplingSpec:
                  "b": [row.b]} for row in self.rows]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """A full problem instance: agents, coupling, horizon, and run defaults."""
 
@@ -392,7 +395,7 @@ class Scenario:
     name: str = "scenario"
     shift: tuple | None = None  # (xbar, ubar) stacked, set by shift_to_target
     # the coupling's (Eu, Ex, b), stacked and checked at construction
-    stage: tuple = field(init=False, repr=False, compare=False)
+    stage: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.agents:

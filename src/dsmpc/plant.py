@@ -2,11 +2,16 @@
 sampling time the running price estimate is advanced by a fixed number of
 ascent rounds at the current measurement, the first-stage inputs are
 recovered, and the plant steps forward under a bounded disturbance.
+
+Nothing is built again per step: the condensed problem is kept per scenario
+digest (`prepared`), the plant's stacked A and B per agent tuple
+(`_stacks`), and a run's rows are stacked once, when it ends.
 """
 
 import json
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,22 +34,30 @@ def prepared(scenario):
     return _setup
 
 
+@lru_cache(maxsize=1)
+def _stacks(agents):
+    """((n_total, m_total), ((state rows, input rows, A, B) per shape (n, m))):
+    the agents of one shape batched, kept for the last agent tuple."""
+    groups = {}
+    for i, a in enumerate(agents):
+        groups.setdefault(a.B.shape, []).append(i)
+    off = np.cumsum([(0, 0)] + [a.B.shape for a in agents], axis=0)
+    return tuple(off[-1]), tuple(
+        (off[idx, :1] + np.arange(n), off[idx, 1:] + np.arange(m),
+         np.array([agents[i].A for i in idx]), np.array([agents[i].B for i in idx]))
+        for (n, m), idx in groups.items())
+
+
 def plant_step(x, u, d, agents):
     """Blockwise affine update x+ = A x + B u + d across all agents, batched
     over the agents of each shape (n, m)."""
     x, u, d = (np.asarray(v, dtype=float) for v in (x, u, d))
-    shapes = {}
-    for i, a in enumerate(agents):
-        shapes.setdefault(a.B.shape, []).append(i)
-    off = np.cumsum([(0, 0)] + [a.B.shape for a in agents], axis=0)
-    n_total, m_total = off[-1]
+    (n_total, m_total), stacks = _stacks(tuple(agents))
     if x.size != n_total or u.size != m_total or d.size != n_total:
         raise DimensionError(f"plant_step: got sizes x={x.size}, u={u.size}, "
                              f"d={d.size}, expected x=d={n_total}, u={m_total}")
     out = d.copy()
-    for (n, m), idx in shapes.items():
-        xr, ur = off[idx, :1] + np.arange(n), off[idx, 1:] + np.arange(m)
-        A, B = (np.array([getattr(agents[i], k) for i in idx]) for k in "AB")
+    for xr, ur, A, B in stacks:
         out[xr] += (A @ x[xr][..., None] + B @ u[ur][..., None])[..., 0]
     return out
 
@@ -129,43 +142,27 @@ class ClosedLoopTrace:
     def to_csv(self):
         """Trace as CSV text.  Wall-clock times are deliberately excluded so
         identical runs produce identical bodies."""
-        n = self.states.shape[1]
-        m = self.inputs.shape[1]
-        p = self.violations.shape[1]
-        cols = ["t"]
-        cols += [f"x{i}" for i in range(n)]
-        cols += [f"u{i}" for i in range(m)]
-        cols += [f"viol{i}" for i in range(p)]
-        cols += ["dual_norm"]
+        T, widths = self.steps, {"x": self.states.shape[1], "u": self.inputs.shape[1],
+                                 "viol": self.violations.shape[1]}
+        cols = ["t", *(f"{k}{i}" for k, w in widths.items() for i in range(w)),
+                "dual_norm"]
+        body = np.column_stack([self.states[:T], self.inputs, self.violations,
+                                [np.linalg.norm(lam) for lam in self.prices]])
         lines = ["# dsmpc-trace-v1", ",".join(cols)]
-        for t in range(self.steps):
-            row = [str(t)]
-            row += [repr(float(v)) for v in self.states[t]]
-            row += [repr(float(v)) for v in self.inputs[t]]
-            row += [repr(float(v)) for v in self.violations[t]]
-            row.append(repr(float(np.linalg.norm(self.prices[t]))))
-            lines.append(",".join(row))
+        lines += [f"{t}," + ",".join(map(repr, row))
+                  for t, row in enumerate(body.tolist())]
         # closing row carries the terminal state
-        tail = [str(self.steps)]
-        tail += [repr(float(v)) for v in self.states[self.steps]]
-        tail += [""] * (m + p + 1)
-        lines.append(",".join(tail))
+        lines.append(",".join([str(T), *map(repr, self.states[T].tolist())])
+                     + "," * (widths["u"] + widths["viol"] + 1))
         return "\n".join(lines) + "\n"
 
     def metadata(self):
-        return {
-            "schema": "dsmpc-trace-v1",
-            "scenario_digest": self.scenario_digest,
-            "ell": self.ell,
-            "epsilon": self.epsilon,
-            "alpha": self.alpha,
-            "seed": self.seed,
-            "steps": self.steps,
-            "infeasible_at": self.infeasible_at,
-            "targets": self.targets.tolist(),
-            "total_wall_clock": float(self.wall_clock.sum()),
-            "inner_solves": self.inner_solves,
-        }
+        keys = ("scenario_digest", "ell", "epsilon", "alpha", "seed", "steps",
+                "infeasible_at")
+        return {"schema": "dsmpc-trace-v1", **{k: getattr(self, k) for k in keys},
+                "targets": self.targets.tolist(),
+                "total_wall_clock": float(self.wall_clock.sum()),
+                "inner_solves": self.inner_solves}
 
     def save(self, csv_path, meta_path=None):
         with open(csv_path, "w", encoding="utf-8") as fh:
@@ -201,15 +198,9 @@ def simulate_closed_loop(scenario, ell=None, steps=None, dist=None, alpha=None):
         )
     xbar, ubar = shifted.shift
     Eu, Ex, b = shifted.stage
-    n, m = shifted.n_total, shifted.m_total
-
-    states, inputs = np.zeros((steps + 1, n)), np.zeros((steps, m))
-    prices, viols = np.zeros((steps, g.n_dual)), np.zeros((steps, b.size))
-    clocks, diag = np.zeros(steps), []
-
     x = shifted.x0_stacked()
     lam = np.zeros(g.n_dual)
-    states[0] = x + xbar
+    states, inputs, prices, viols, clocks, diag = [x + xbar], [], [], [], [], []
     warm = infeasible_at = None
     eps = shifted.epsilon
     paths, active_rows, kkt_max = np.zeros(3, dtype=int), 0, 0.0
@@ -228,28 +219,23 @@ def simulate_closed_loop(scenario, ell=None, steps=None, dist=None, alpha=None):
         active_rows += run.active_rows + int(np.count_nonzero(warm))
         kkt_max = max(kkt_max, run.kkt_max, float(rec.res.max(initial=0.0)))
         u_first = g.first_inputs(rec.u)
-        viols[t] = np.maximum(Ex @ x + Eu @ u_first - b, 0.0)
-        x_next = plant_step(x, u_first, d_seq[t], shifted.agents)
-        clocks[t] = time.perf_counter() - tic
-        prices[t] = lam
-        inputs[t] = u_first + ubar
-        states[t + 1] = x_next + xbar
+        viols.append(np.maximum(Ex @ x + Eu @ u_first - b, 0.0))
+        x = plant_step(x, u_first, d_seq[t], shifted.agents)
+        clocks.append(time.perf_counter() - tic)
+        prices.append(lam)
+        inputs.append(u_first + ubar)
+        states.append(x + xbar)
         diag.append([(j + 1, float(r), float(d)) for j, (r, d) in
                      enumerate(zip(run.agg_residuals, run.mu_steps))])
-        x = x_next
 
-    if infeasible_at is not None:
-        t = infeasible_at
-        states = states[: t + 1]
-        inputs, prices, viols, clocks = inputs[:t], prices[:t], viols[:t], clocks[:t]
-
+    T = len(inputs)
     return ClosedLoopTrace(
-        states=states, inputs=inputs, prices=prices,
-        disturbances=d_seq[: inputs.shape[0]], violations=viols,
-        wall_clock=clocks, ell=ell, epsilon=eps, alpha=float(alpha),
-        seed=dist.seed, scenario_digest=digest,
-        targets=scenario.targets_stacked(), infeasible_at=infeasible_at,
-        dual_diagnostics=diag,
+        states=np.array(states), inputs=np.reshape(inputs, (T, shifted.m_total)),
+        prices=np.reshape(prices, (T, g.n_dual)), disturbances=d_seq[:T],
+        violations=np.reshape(viols, (T, b.size)), wall_clock=np.array(clocks),
+        ell=ell, epsilon=eps, alpha=float(alpha), seed=dist.seed,
+        scenario_digest=digest, targets=scenario.targets_stacked(),
+        infeasible_at=infeasible_at, dual_diagnostics=diag,
         inner_solves=dict(zip(("law", "polish", "cold"), paths.tolist()),
                           lp_certificate=int(infeasible_at is not None),
                           active_rows=active_rows, kkt_max=kkt_max),

@@ -86,8 +86,12 @@ class TestExitCodes:
          "coupling row 0: abs_state_diff is missing 'select'"),
         (lambda d: d["coupling"][0]["abs_state_diff"].update(agents=["a", "b"]),
          "coupling row 0: agent index 'a' out of range"),
+        # no spelling but the "abs_state_diff" key is read
+        (lambda d: d["coupling"].insert(0, {"type": "abs_state_diff",
+                                            **d["coupling"][0]["abs_state_diff"]}),
+         "coupling row 0: empty right-hand side"),
     ], ids=["agents", "coupling", "terminal", "input_poly", "Eu", "select",
-            "agent_names"])
+            "agent_names", "type_spelling"])
     def test_malformed_structure_scenario_error(self, tmp_path, formation3_path,
                                                 capsys, edit, named):
         doc = json.loads(open(formation3_path).read())

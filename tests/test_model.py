@@ -12,6 +12,7 @@ from dsmpc.model import (AgentModel, CouplingRow, CouplingSpec, Polytope,
                          Scenario, _matrix, _vector, load_scenario,
                          save_scenario, shift_to_target, solve_dare,
                          validate_assumptions)
+from dsmpc.scenarios import load
 
 from conftest import make_pair_scenario
 from oracles import controllable, golden_ratio
@@ -394,6 +395,36 @@ class TestImmutable:
         assert s.agents[0].A[0, 0] == 0.5 and s.agents[0].x0[0] == 0.8
         assert s.agents[0].input_poly.c.tolist() == [5.0, 5.0]
         assert s.coupling.p == 1 and sorted(s.coupling.rows[0].Ex) == [0, 1]
+
+    @pytest.mark.parametrize("field", ["A", "x0"])
+    def test_caller_frozen_array_is_checked(self, formation3, field):
+        # a read-only array is still the caller's, so it is checked and copied
+        bad = getattr(formation3.agents[0], field).copy()
+        bad.flat[0] = np.nan
+        bad.setflags(write=False)
+        with pytest.raises(ParseError, match="non-finite"):
+            replace(formation3.agents[0], **{field: bad})
+
+    def test_unchanged_arrays_are_shared(self, formation3):
+        agent = formation3.agents[0]
+        copy = replace(agent, x0=np.zeros(agent.n))
+        assert copy.A is agent.A and copy.input_poly is agent.input_poly
+        assert copy.x0 is not agent.x0
+
+
+class TestIdentity:
+    # the values compare and hash by identity; equal content is compared
+    # with digest()
+    def test_equality_is_identity(self):
+        a, b = load("formation3"), load("formation3")
+        assert (a == b) is False and a == a and a != b
+        assert a.digest() == b.digest()
+
+    def test_every_type_hashes(self, formation3):
+        row, agent = formation3.coupling.rows[0], formation3.agents[0]
+        values = (formation3, formation3.coupling, row, agent, agent.input_poly)
+        assert len({hash(v) for v in values}) == 5
+        assert {v: k for k, v in enumerate(values)}[agent] == 3
 
 
 class TestDigestPinned:

@@ -69,6 +69,30 @@ class TestPlantStep:
             plant_step(np.zeros(3), np.zeros(formation3.m_total),
                        np.zeros(formation3.n_total), formation3.agents)
 
+    def test_loop_stacks_once(self):
+        # the kept set-up's agent tuple finds its stacks at every step
+        s = load("formation3")
+        plant._stacks.cache_clear()
+        simulate_closed_loop(s, ell=1, steps=60)
+        info = plant._stacks.cache_info()
+        assert (info.misses, info.hits) == (1, 59)
+
+    def test_second_agent_tuple_gets_its_own_stacks(self, formation3):
+        # agent tuples of one shape but other dynamics, called in turn
+        first = formation3.agents
+        second = tuple(replace(a, A=2.0 * a.A, B=-a.B) for a in first)
+        rng = np.random.default_rng(6)
+        x, d = rng.normal(size=(2, formation3.n_total))
+        u = rng.normal(size=formation3.m_total)
+        plant._stacks.cache_clear()
+        for agents in (first, second, first):
+            want = np.concatenate([
+                a.A @ xi + a.B @ ui for a, xi, ui in zip(
+                    agents, np.split(x, np.cumsum([a.n for a in agents])[:-1]),
+                    np.split(u, np.cumsum([a.m for a in agents])[:-1]))]) + d
+            assert np.max(np.abs(plant_step(x, u, d, agents) - want)) <= 1e-12
+        assert plant._stacks.cache_info().misses == 3
+
 
 class TestMakeDisturbance:
     def test_zero_kind(self):
@@ -187,6 +211,27 @@ class TestSimulateClosedLoop:
         tr = simulate_closed_loop(s, ell=1, steps=5)
         assert tr.infeasible_at == 0
         assert tr.states.shape[0] == 1
+
+    @pytest.mark.parametrize("box, x0, push, at", [
+        (0.01, (0.8, 0.7), 0.0, 0), (0.1, (0.1, 0.1), 1.0, 2)])
+    def test_truncated_trace_shapes(self, box, x0, push, at):
+        # a pinned pair that starts outside its feasible set, or is pushed
+        # out of it by a constant disturbance after two steps
+        s = make_pair_scenario(x0=x0, box=box)
+        pin = Polytope(np.array([[1.0], [-1.0]]), np.zeros(2))
+        s = replace(s, agents=[
+            replace(a, terminal_equality=True, terminal_poly=pin, P=np.zeros((1, 1)))
+            for a in s.agents])
+        dist = make_disturbance("constant_worst", push * np.ones(2))
+        tr = simulate_closed_loop(s, ell=2, steps=10, dist=dist)
+        g = prepared(s)[2]
+        assert tr.infeasible_at == at and tr.steps == at
+        assert tr.states.shape == (at + 1, 2)
+        assert tr.inputs.shape == (at, s.m_total)
+        assert tr.prices.shape == (at, g.n_dual)
+        assert tr.violations.shape == (at, s.coupling.p)
+        assert tr.disturbances.shape == (at, 2) and tr.wall_clock.shape == (at,)
+        assert tr.to_csv().count("\n") == at + 3
 
 
 class TestDualDiagnostics:
@@ -344,6 +389,30 @@ class TestPreparedSetup:
             t = with_agent(s, 2, x0=with_entry(x0, 0, x0[0] + 0.01 * (k + 1)))
             simulate_closed_loop(t, ell=1, steps=3)
         assert len(calls) == 6
+
+    def test_caller_array_written_later(self, monkeypatch):
+        # a read-only array passed in is copied: making it writable and
+        # writing it later reaches neither the scenario nor its kept set-up
+        s = load("formation3")
+        monkeypatch.setattr(plant, "_setup", EMPTY)
+        x0, block = s.agents[0].x0.copy(), s.coupling.rows[0].Ex[0].copy()
+        for a in (x0, block):
+            a.setflags(write=False)
+        t = replace(with_agent(s, 0, x0=x0), coupling=CouplingSpec(
+            [replace(s.coupling.rows[0], Ex={**s.coupling.rows[0].Ex, 0: block}),
+             *s.coupling.rows[1:]]))
+        first = simulate_closed_loop(t, ell=2, steps=12, dist=uniform(t, 9))
+        digest, stage = t.digest(), [M.copy() for M in t.stage]
+        for a in (x0, block):
+            a.setflags(write=True)
+            a[1] = -0.5
+        assert t.agents[0].x0[1] != -0.5 != t.coupling.rows[0].Ex[0][1]
+        assert t.digest() == digest == replace(t).digest() == s.digest()
+        assert all(np.array_equal(M, N) for M, N in zip(t.stage, stage))
+        again = simulate_closed_loop(t, ell=2, steps=12, dist=uniform(t, 9))
+        assert fingerprint(again) == fingerprint(first) == fingerprint(
+            cold(simulate_closed_loop, replace(t), ell=2, steps=12,
+                 dist=uniform(t, 9)))
 
     def test_repeat_run_hashes_nothing(self, monkeypatch):
         # the digest is hashed once per scenario object, so a second run of
