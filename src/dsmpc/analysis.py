@@ -159,7 +159,8 @@ def regularization_sweep(g, states, eps_list):
     log-log slope (zero ratios excluded), the fitted envelope constant
     sup r(eps)/sqrt(eps), the a-priori constant max_x C(x)/||x|| in the same
     units, and the worst ratio of error to bound are reported as
-    measurements."""
+    measurements.  Each eps's oracle solve starts from the active set of the
+    state's eps = 0 solve."""
     eps_list = list(eps_list)
     mu = min(float(np.linalg.eigvalsh(ca.H)[0]) for ca in g.agents)
     ratios = np.zeros((len(states), len(eps_list)))
@@ -171,7 +172,7 @@ def regularization_sweep(g, states, eps_list):
         kappa = g.first_inputs(sol0.u)
         theory[i] = float(np.linalg.norm(sol0.lam)) / np.sqrt(mu) / nx
         for j, eps in enumerate(eps_list):
-            sol = solve_centralized(g, x, eps)
+            sol = solve_centralized(g, x, eps, sol0.active)
             kappa_eps = recovered_law(g, x, sol.lam, sol.nu > 0.0)
             ratios[i, j] = float(np.linalg.norm(kappa - kappa_eps)) / nx
     keep = ratios > 1e-13

@@ -2,8 +2,12 @@
 QP is one stacked DenseQP (the eps = 0 problem is the regularized one with no
 relaxation columns), solved directly and certified by one KKT residual of the
 coupled problem computed on the original blocks, independently of the solve
-path.  Supplies the exact primal/dual solution maps, both feedback laws, and
-the square-root value function used in the stability experiments.
+path.  A solve may start from an earlier solve's active set (its rows, local
+then coupling, are the same for every eps and state of one problem); the
+callers here chain their own solves, never the coordinator's, and nothing is
+kept between calls.  Supplies the exact primal/dual solution maps, both
+feedback laws, and the square-root value function used in the stability
+experiments.
 """
 
 from dataclasses import dataclass
@@ -30,6 +34,8 @@ class OracleSolution:
     kkt_residual: float
     value: float             # condensed cost at the primal solution
     epsilon: float
+    active: tuple            # active rows of the stacked QP: a warm set
+    iters: int               # cold Goldfarb-Idnani rounds, 0 if warm polished
 
 
 def _stacked_qp(g, eps):
@@ -49,9 +55,9 @@ def _stacked_qp(g, eps):
     return g.oracle_ws[eps]
 
 
-def solve_centralized(g, x, eps):
+def solve_centralized(g, x, eps, warm=None):
     """Solve the coupled condensed QP at state x to KKT residual <=
-    ORACLE_TOL.
+    ORACLE_TOL, from `warm`, an earlier solution's `active` (speed only).
 
     eps > 0 solves the regularized problem (unique dual); eps = 0 returns the
     exact primal and one dual.  Raises Infeasible when x is outside the
@@ -63,7 +69,7 @@ def solve_centralized(g, x, eps):
     q, r_loc, Fx = g.state_terms(x)
     r = np.concatenate([r_loc, g.b - Fx])
     n_u, k_loc = q.size, r_loc.size
-    res = qp.solve(np.concatenate([q, np.zeros(qp.n - n_u)]), r)
+    res = qp.solve(np.concatenate([q, np.zeros(qp.n - n_u)]), r, warm)
     u, nu, lam = res.z[:n_u], res.nu[:k_loc], res.nu[k_loc:]
     # The coupled problem's KKT residual with the relaxation eliminated:
     # the coupling rows read E u <= b - F x + eps * lam.
@@ -75,7 +81,8 @@ def solve_centralized(g, x, eps):
     if kkt > 10 * ORACLE_TOL:
         raise NoConvergence(f"oracle KKT residual {kkt:.3e} above tolerance")
     return OracleSolution(u=u, lam=lam, nu=nu, kkt_residual=float(kkt),
-                          value=eval_condensed_cost(g, u, x), epsilon=float(eps))
+                          value=eval_condensed_cost(g, u, x), epsilon=float(eps),
+                          active=res.active, iters=res.iters)
 
 
 def value_function(g, x):
@@ -89,9 +96,10 @@ def feedback_laws(g, x, eps):
     """(exact MPC law, regularized law) at state x.  The exact law extracts
     the first input block of the primal; the regularized law is recovered
     from the regularized dual through the agents' inner problems."""
-    x, sol = np.asarray(x, dtype=float), solve_centralized(g, x, eps)
-    return g.first_inputs(solve_centralized(g, x, 0.0).u), \
-        recovered_law(g, x, sol.lam, sol.nu > 0.0)
+    x = np.asarray(x, dtype=float)
+    sol0 = solve_centralized(g, x, 0.0)
+    sol = solve_centralized(g, x, eps, sol0.active)
+    return g.first_inputs(sol0.u), recovered_law(g, x, sol.lam, sol.nu > 0.0)
 
 
 def recovered_law(g, x, lam, warm=None):
@@ -105,17 +113,19 @@ def recovered_law(g, x, lam, warm=None):
 def simulate_optimal_closed_loop(scenario, steps=None, eps=0.0):
     """Nominal (d = 0) closed loop under the exact MPC law (or its
     regularized version for eps > 0).  Returns states in original
-    coordinates, shape (steps+1, n)."""
+    coordinates, shape (steps+1, n).  Each step's solve starts from the
+    previous step's active set."""
     steps = scenario.sim_steps if steps is None else int(steps)
     _, shifted, g = prepared(scenario)
     xbar, ubar = shifted.shift
     x = shifted.x0_stacked()
     states = np.zeros((steps + 1, x.size))
     states[0] = x + xbar
-    zero_d = np.zeros(x.size)
+    zero_d, warm = np.zeros(x.size), None
     for t in range(steps):
-        u0 = g.first_inputs(solve_centralized(g, x, eps).u)
-        x = plant_step(x, u0, zero_d, shifted.agents)
+        sol = solve_centralized(g, x, eps, warm)
+        x = plant_step(x, g.first_inputs(sol.u), zero_d, shifted.agents)
+        warm = sol.active
         states[t + 1] = x + xbar
     g.oracle_ws.pop(eps, None)  # one per eps would pile up in the kept set-up
     return states

@@ -176,7 +176,7 @@ class DenseQP:
         rows such as a QPResult.active, only affects speed."""
         q = np.asarray(q, dtype=float).reshape(self.n)
         r = np.asarray(r, dtype=float).reshape(self.k)
-        warm = list(warm_active or ())
+        warm = [] if warm_active is None else list(warm_active)
         out = self._polish(q, r, self._independent(warm), POLISH_ROUNDS) \
             if warm else None
         if out is not None:

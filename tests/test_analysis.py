@@ -15,6 +15,7 @@ from dsmpc.oracle import solve_centralized
 from dsmpc.plant import simulate_closed_loop
 
 from conftest import make_pair_scenario
+from test_oracle import formation3_states
 
 
 class TestSuboptimalityCurve:
@@ -118,9 +119,9 @@ class TestRegularizationSweep:
         s, g = pair_global
         calls = []
 
-        def counting(g, x, eps):
+        def counting(g, x, eps, warm=None):
             calls.append(eps)
-            return solve_centralized(g, x, eps)
+            return solve_centralized(g, x, eps, warm)
         for mod in (dsmpc.analysis, dsmpc.oracle):
             monkeypatch.setattr(mod, "solve_centralized", counting)
         states = [s.x0_stacked(), np.array([0.02, -0.03])]
@@ -128,6 +129,26 @@ class TestRegularizationSweep:
         regularization_sweep(g, states, eps_list)
         assert len(calls) == len(states) * (1 + len(eps_list))
         assert calls.count(0.0) == len(states)
+
+    def test_regularized_solves_polish_from_the_unregularized_set(
+            self, formation3_global, monkeypatch):
+        # at formation3's x0 and two seeded states near it, every eps starts
+        # from the state's eps = 0 active set and is certified by the polish
+        # alone: no cold Goldfarb-Idnani rounds
+        import dsmpc.analysis
+        shifted, g = formation3_global
+        states = formation3_states(shifted, n=2, seed=5)
+        sols = []
+
+        def recording(g, x, eps, warm=None):
+            sols.append(solve_centralized(g, x, eps, warm))
+            return sols[-1]
+        monkeypatch.setattr(dsmpc.analysis, "solve_centralized", recording)
+        assert regularization_sweep(g, states, [1e-4, 1e-8]).passed
+        regularized = [sol for sol in sols if sol.epsilon > 0.0]
+        assert len(regularized) == 2 * len(states)
+        assert all(sol.iters == 0 for sol in regularized)
+        assert all(sol.iters > 0 for sol in sols if sol.epsilon == 0.0)
 
 
 class TestIssExperiment:

@@ -294,6 +294,21 @@ class TestDenseQP:
         assert warm.active == cold.active
         assert np.max(np.abs(warm.z - cold.z)) <= 1e-12
 
+    def test_ndarray_warm_set_same_as_tuple(self):
+        # z1 <= 0 and z2 <= 5 both bind at z = (0, 5); an array warm set is
+        # the same set as the equal tuple, a one-element array [0] included
+        qp = DenseQP(np.eye(2), np.eye(2))
+        r = np.array([0.0, 5.0])
+        for q, warm in ((np.array([-1.0, -10.0]), (0, 1)),
+                        (np.array([-1.0, 0.0]), (0,))):
+            want = qp.solve(q, r, warm_active=warm)
+            got = qp.solve(q, r, warm_active=np.array(warm))
+            assert want.iters == 0 and want.active == warm
+            assert got.iters == want.iters and got.active == want.active
+            assert np.array_equal(got.z, want.z)
+            assert np.array_equal(got.nu, want.nu)
+            assert got.kkt_residual == want.kkt_residual
+
     def test_wrong_sign_equality_row_polishes_without_iterations(self):
         # z0 = 0.3 pinned by the pair (rows 0, 1) with a multiplier of 6e-9 on
         # row 0; a warm set holding row 1 must be repaired by the polish

@@ -7,6 +7,7 @@ from dsmpc.errors import Infeasible
 from dsmpc.model import shift_to_target
 from dsmpc.oracle import (feedback_laws, simulate_optimal_closed_loop,
                           solve_centralized, value_function)
+from dsmpc.plant import plant_step
 
 from conftest import make_pair_scenario
 from oracles import coupled_kkt_residual
@@ -105,6 +106,13 @@ class TestSolveCentralized:
         assert np.isfinite(max(ratios))
 
 
+def formation3_states(shifted, n=3, seed=0):
+    """formation3's x0 and n seeded states near it."""
+    x0 = shifted.x0_stacked()
+    rng = np.random.default_rng(seed)
+    return [x0, *(x0 + rng.uniform(-0.02, 0.02, (n, x0.size)))]
+
+
 class TestOneCertificate:
     # formation3's x0 and three seeded states near it, where a coupling row
     # is active; every eps, the unregularized one included, is certified by
@@ -112,9 +120,7 @@ class TestOneCertificate:
     @pytest.mark.parametrize("eps", [0.0, 1e-8, 1e-4, 0.05])
     def test_coupled_kkt_residual(self, formation3_global, eps):
         shifted, g = formation3_global
-        x0 = shifted.x0_stacked()
-        rng = np.random.default_rng(0)
-        for x in [x0, *(x0 + rng.uniform(-0.02, 0.02, (3, x0.size)))]:
+        for x in formation3_states(shifted):
             sol = solve_centralized(g, x, eps)
             res = coupled_kkt_residual(g, x, sol.u, sol.nu, sol.lam, eps)
             assert res <= 1e-9
@@ -125,6 +131,74 @@ class TestOneCertificate:
             for a, b in ((sol.u, again.u), (sol.lam, again.lam),
                          (sol.nu, again.nu)):
                 assert np.array_equal(a, b)
+
+
+def max_gap(a, b):
+    return max(float(np.max(np.abs(p - q), initial=0.0))
+               for p, q in ((a.u, b.u), (a.lam, b.lam), (a.nu, b.nu)))
+
+
+class TestWarmStart:
+    # a warm set only affects speed: every warm solve lands on the cold
+    # solve's (u, lam, nu) at the same (x, eps)
+    @pytest.mark.parametrize("eps", [1e-8, 1e-4, 0.05])
+    def test_warm_from_unregularized_set_matches_cold(self, formation3_global,
+                                                      eps):
+        shifted, g = formation3_global
+        for x in formation3_states(shifted):
+            warm = solve_centralized(g, x, 0.0).active
+            got = solve_centralized(g, x, eps, warm)
+            assert max_gap(got, solve_centralized(g, x, eps)) <= 1e-12
+            assert got.kkt_residual <= 1e-9
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-4])
+    def test_wrong_warm_set_gives_cold_result(self, formation3_global, eps):
+        # the set of 0.4 x0 (no coupling row active), every local row, and
+        # the empty set
+        shifted, g = formation3_global
+        xs = formation3_states(shifted)
+        k_loc = sum(ca.C.shape[0] for ca in g.agents)
+        other = solve_centralized(g, 0.4 * xs[0], eps).active
+        for x in xs[1:]:
+            cold = solve_centralized(g, x, eps)
+            assert other != cold.active
+            for warm in (other, tuple(range(k_loc)), ()):
+                assert max_gap(solve_centralized(g, x, eps, warm), cold) <= 1e-12
+
+    def test_warm_set_keeps_infeasible(self, formation3_global):
+        shifted, g = formation3_global
+        x = shifted.x0_stacked().copy()
+        warm = solve_centralized(g, x, 0.0).active
+        x[1] = 50.0
+        k_loc = sum(ca.C.shape[0] for ca in g.agents)
+        for w in (warm, tuple(range(k_loc))):
+            with pytest.raises(Infeasible):
+                solve_centralized(g, x, 0.0, w)
+
+    def test_chained_optimal_loop_matches_cold_loop(self, formation3,
+                                                    monkeypatch):
+        # each step starts from the previous step's set; the states agree
+        # with a loop whose every solve is cold
+        import dsmpc.oracle
+        warms, sols = [], []
+
+        def recording(g, x, eps, warm=None):
+            warms.append(warm)
+            sols.append(solve_centralized(g, x, eps, warm))
+            return sols[-1]
+        monkeypatch.setattr(dsmpc.oracle, "solve_centralized", recording)
+        states = simulate_optimal_closed_loop(formation3, steps=20)
+        assert warms == [None] + [sol.active for sol in sols[:-1]]
+        shifted = shift_to_target(formation3)
+        g = condense_scenario(shifted)
+        xbar, _ = shifted.shift
+        x = shifted.x0_stacked()
+        cold = [x + xbar]
+        for _ in range(20):
+            u0 = g.first_inputs(solve_centralized(g, x, 0.0).u)
+            x = plant_step(x, u0, np.zeros(x.size), shifted.agents)
+            cold.append(x + xbar)
+        assert np.max(np.abs(states - np.array(cold))) <= 1e-9
 
 
 class TestValueFunction:
@@ -174,3 +248,18 @@ class TestFeedbackLaws:
         x = shifted.x0_stacked()
         k, ke = feedback_laws(g, x, 1e-8)
         assert np.linalg.norm(k - ke) <= 1e-3 * np.linalg.norm(x)
+
+    def test_regularized_solve_starts_from_unregularized_set(
+            self, formation3_global, monkeypatch):
+        import dsmpc.oracle
+        shifted, g = formation3_global
+        calls, sols = [], []
+
+        def recording(g, x, eps, warm=None):
+            calls.append((eps, warm))
+            sols.append(solve_centralized(g, x, eps, warm))
+            return sols[-1]
+        monkeypatch.setattr(dsmpc.oracle, "solve_centralized", recording)
+        feedback_laws(g, shifted.x0_stacked(), 1e-4)
+        assert calls == [(0.0, None), (1e-4, sols[0].active)]
+        assert sols[1].iters == 0
