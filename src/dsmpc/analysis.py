@@ -2,7 +2,8 @@
 theoretical bound, per-period dual contraction estimates, closed-loop
 violation profiles, regularization-error scaling, and disturbance-gain
 sweeps.  Every check compares a measured quantity against a formula in
-(alpha, eps, ell) or against an oracle output; reports carry the raw series.
+(alpha, eps, ell) or against an oracle output (the references come from its
+certified solutions alone); reports carry the raw series.
 """
 
 import json
@@ -10,9 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coordinator import (contraction_factor, default_step, dual_cost,
+from .coordinator import (contraction_factor, default_step,
                           lipschitz_constant, min_iterations, run_ada)
-from .oracle import ORACLE_TOL, recovered_law, solve_centralized
+from .oracle import ORACLE_TOL, solve_centralized
 from .plant import make_disturbance, simulate_closed_loop
 
 GAP_TOL = 1e-8          # slack on the accelerated-gradient gap bound
@@ -75,14 +76,15 @@ class ExperimentReport:
 
 def suboptimality_curve(g, x, lam0, ell_max, eps, alpha=None):
     """Dual gap of the projected iterate after each round, against the
-    accelerated-gradient bound 2 ||lam0 - lam*||^2 / (alpha (ell+1)^2)."""
+    accelerated-gradient bound 2 ||lam0 - lam*||^2 / (alpha (ell+1)^2),
+    with psi* = -(f(u*) + eps/2 ||lam*||^2) by strong duality."""
     if alpha is None:
         alpha = default_step(lipschitz_constant(g, eps))
     lam0 = np.zeros(g.n_dual) if lam0 is None else np.asarray(lam0, dtype=float)
     star = solve_centralized(g, x, eps)
-    warm = star.nu > 0.0  # the oracle's active sets: warm starts, speed only
-    psi_star = dual_cost(star.lam, x, g, eps, warm=warm)
-    run = run_ada(lam0, x, ell_max, g, eps, alpha=alpha, record_cost=True, warm=warm)
+    psi_star = -(star.value + 0.5 * eps * float(star.lam @ star.lam))
+    run = run_ada(lam0, x, ell_max, g, eps, alpha=alpha, record_cost=True,
+                  warm=star.nu > 0.0)
     dist2 = float(np.linalg.norm(lam0 - star.lam) ** 2)
     ells = np.arange(1, ell_max + 1)
     gaps = run.dual_costs - psi_star
@@ -159,8 +161,8 @@ def regularization_sweep(g, states, eps_list):
     log-log slope (zero ratios excluded), the fitted envelope constant
     sup r(eps)/sqrt(eps), the a-priori constant max_x C(x)/||x|| in the same
     units, and the worst ratio of error to bound are reported as
-    measurements.  Each eps's oracle solve starts from the active set of the
-    state's eps = 0 solve."""
+    measurements.  kappa_eps is the first input block of z_eps, each eps
+    solved from the active set of the state's eps = 0 solve."""
     eps_list = list(eps_list)
     mu = min(float(np.linalg.eigvalsh(ca.H)[0]) for ca in g.agents)
     ratios = np.zeros((len(states), len(eps_list)))
@@ -172,8 +174,7 @@ def regularization_sweep(g, states, eps_list):
         kappa = g.first_inputs(sol0.u)
         theory[i] = float(np.linalg.norm(sol0.lam)) / np.sqrt(mu) / nx
         for j, eps in enumerate(eps_list):
-            sol = solve_centralized(g, x, eps, sol0.active)
-            kappa_eps = recovered_law(g, x, sol.lam, sol.nu > 0.0)
+            kappa_eps = g.first_inputs(solve_centralized(g, x, eps, sol0.active).u)
             ratios[i, j] = float(np.linalg.norm(kappa - kappa_eps)) / nx
     keep = ratios > 1e-13
     logs_e = np.log10(np.broadcast_to(np.asarray(eps_list, dtype=float), ratios.shape))

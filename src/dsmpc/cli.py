@@ -83,7 +83,7 @@ def build_parser():
     sp.add_argument("--dist", default="zero",
                     choices=["zero", "uniform", "constant_worst"])
     sp.add_argument("--dist-bound", type=float, default=0.0)
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=positive_int, default=1)
 
     sp = sub.add_parser("dump", help="write condensed matrices")
     _add_common(sp)

@@ -14,8 +14,8 @@ piecewise-affine map: one broadcast product Gx + E_all' lambda, one
 qpcore.law_test per shape group on the affine laws of the agents' warm
 active sets (rebuilt only where a set changed), DenseQP.solve for the
 agents it refuses, and one gather product E_all u.  `batched_solves` is the
-one inner-solve path of every caller.  The regularized dual cost evaluated
-here is
+one inner-solve path of every caller, `recovered_law` (the scheme's law at
+a price) among them.  The regularized dual cost evaluated here is
 
     psi_eps(lam, x) = sum_i (h_i(., x_i))*(-E_i' lam) + (eps/2) ||lam||^2
                       + lam' (b - sum_i F_i x_i),      lam >= 0,
@@ -73,7 +73,7 @@ def batched_solves(g, terms, lam, warm=None):
         if mask.tobytes() != grp.law_mask.tobytes():
             for j in np.flatnonzero((mask != grp.law_mask).any(1)):
                 qp = g.agents[grp.idx[j]].qp
-                (rows, *_), law = qp._law(np.flatnonzero(mask[j]).tolist())
+                rows, law = qp._law(np.flatnonzero(mask[j]).tolist())
                 at = np.concatenate([np.arange(qp.n), qp.n + np.asarray(rows, int)])
                 grp.laws[j] = 0.0
                 grp.laws[j][np.ix_(at, at)] = law
@@ -86,6 +86,12 @@ def batched_solves(g, terms, lam, warm=None):
             paths[[LAW, COLD if iters[i] else POLISH]] += (-1, 1)
         u[grp.u_rows], nu[grp.r_rows], res[grp.idx] = z, nus, rg
     return Solves(u, nu, res, iters, paths)
+
+
+def recovered_law(g, x, lam):
+    """The scheme's law at price lam: the first-stage inputs of the agents'
+    inner problems at state x."""
+    return g.first_inputs(batched_solves(g, g.state_terms(x), lam).u)
 
 
 @dataclass
@@ -160,18 +166,17 @@ def run_ada(lam_init, x, iters, g, eps, alpha=None, record_cost=False,
                   kkt_max=float(kkt.max(initial=0.0)))
 
 
-def dual_cost(lam, x, g, eps, warm=None):
+def dual_cost(lam, x, g, eps):
     """Regularized dual objective psi_eps(lam, x) for lam >= 0 (componentwise,
     up to -1e-12).  Conjugate terms are evaluated through the inner solves,
     each as f_i(u_i, x_i) + lambda' E_i u_i including the state-only cost
-    0.5 x_i' W_i x_i.  `warm`, an active-set mask as in `batched_solves`
-    (such as an oracle solution's nu > 0), only affects speed."""
+    0.5 x_i' W_i x_i."""
     eps = checked_eps(eps)
     lam = np.asarray(lam, dtype=float).reshape(-1)
     if lam.size and float(lam.min()) < -1e-12:
         raise DomainError("dual cost requires a componentwise nonnegative price")
     lam = np.maximum(lam, 0.0)
-    return _dual_cost(lam, x, g, eps, g.state_terms(x), warm)
+    return _dual_cost(lam, x, g, eps, g.state_terms(x), None)
 
 
 def _dual_cost(lam, x, g, eps, terms, warm):

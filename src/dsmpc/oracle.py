@@ -5,9 +5,9 @@ coupled problem computed on the original blocks, independently of the solve
 path.  A solve may start from an earlier solve's active set (its rows, local
 then coupling, are the same for every eps and state of one problem); the
 callers here chain their own solves, never the coordinator's, and nothing is
-kept between calls.  Supplies the exact primal/dual solution maps, both
-feedback laws, and the square-root value function used in the stability
-experiments.
+kept between calls; nothing goes through the scheme it checks.  Supplies the
+exact primal/dual solutions, both feedback laws (first primal input blocks)
+and the square-root value function used in the stability experiments.
 """
 
 from dataclasses import dataclass
@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from .condense import eval_condensed_cost
-from .coordinator import batched_solves, checked_eps
+from .coordinator import checked_eps
 from .errors import NoConvergence
 from .plant import plant_step, prepared
 from .qpcore import DenseQP, kkt_verdict
@@ -93,21 +93,12 @@ def value_function(g, x):
 
 
 def feedback_laws(g, x, eps):
-    """(exact MPC law, regularized law) at state x.  The exact law extracts
-    the first input block of the primal; the regularized law is recovered
-    from the regularized dual through the agents' inner problems."""
-    x = np.asarray(x, dtype=float)
+    """(exact MPC law, regularized law) at state x: the first input blocks of
+    the unregularized and the regularized primal.  By strict convexity the
+    latter is also the inner problems' minimizer at the regularized dual."""
     sol0 = solve_centralized(g, x, 0.0)
     sol = solve_centralized(g, x, eps, sol0.active)
-    return g.first_inputs(sol0.u), recovered_law(g, x, sol.lam, sol.nu > 0.0)
-
-
-def recovered_law(g, x, lam, warm=None):
-    """First-stage inputs recovered from the coupling price lam through the
-    agents' inner problems; `warm`, an active-set mask as in
-    `coordinator.batched_solves` (such as the nu > 0 of the oracle solution
-    that gave lam), only affects speed."""
-    return g.first_inputs(batched_solves(g, g.state_terms(x), lam, warm).u)
+    return g.first_inputs(sol0.u), g.first_inputs(sol.u)
 
 
 def simulate_optimal_closed_loop(scenario, steps=None, eps=0.0):

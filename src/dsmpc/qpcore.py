@@ -110,20 +110,20 @@ class DenseQP:
         return (z, nu, float(res), iters) if ok else None
 
     def _law(self, active):
-        """(indep, M) for the active set `active`, a list of rows: indep =
-        (rows, V_rows, U) are its independent rows, and (z, w) = M (q, r_rows)
-        with w = -S^-1 (r_a + V_a' L^-1 q) and z = -P^-1 q - L^-T V_a w.
+        """(rows, M) for the active set `active`, a list of rows: rows are
+        its independent rows, and (z, w) = M (q, r_rows) with
+        w = -S^-1 (r_a + V_a' L^-1 q) and z = -P^-1 q - L^-T V_a w.
         Built from the set alone, so a kept law equals a rebuilt one."""
-        rows, Va, U = indep = self._independent(active)
+        rows, Va, U = self._independent(active)
         Y = dtrtrs(self.chol, Va, lower=1, trans=1)[0]  # L^-T V_a
         W = -_cho_solve(U, np.hstack([Y.T, np.eye(len(rows))]))
         Z = -Y @ W
         Z[:, :self.n] -= self.Pinv
-        return indep, np.vstack([Z, W])
+        return rows, np.vstack([Z, W])
 
-    def _polish(self, q, r, start, rounds):
-        """Active-set solve on the factor from `start`, the _independent
-        result of the first set: (V_a' V_a) w = -(r_a + V_a' L^-1 q),
+    def _polish(self, q, r, active, rounds):
+        """Active-set solve on the factor from the rows `active`, refactored
+        by `_independent` every round: (V_a' V_a) w = -(r_a + V_a' L^-1 q),
         z = -L^-T (L^-1 q + V_a w), rows dependent on the others dropped.  The
         most negative multiplier goes until the set is dual feasible; the
         most violated row p then enters by Goldfarb-Idnani steps, raising its
@@ -132,10 +132,8 @@ class DenseQP:
         None."""
         y = dtrtrs(self.chol, q, lower=1)[0]
         p, t = -1, 0.0
-        active, Va, U = list(start[0]), start[1], start[2]
         for it in range(1, rounds + 1):
-            if it > 1:
-                active, Va, U = self._independent(active)
+            active, Va, U = self._independent(active)
             rank = len(active)
             yt = y if p < 0 else y + t * self.V[:, p]
             w = np.zeros(rank)
@@ -177,12 +175,11 @@ class DenseQP:
         q = np.asarray(q, dtype=float).reshape(self.n)
         r = np.asarray(r, dtype=float).reshape(self.k)
         warm = [] if warm_active is None else list(warm_active)
-        out = self._polish(q, r, self._independent(warm), POLISH_ROUNDS) \
-            if warm else None
+        out = self._polish(q, r, warm, POLISH_ROUNDS) if warm else None
         if out is not None:
             out = out[:3] + (0,)  # a warm polish counts no cold rounds
         else:
-            out = self._polish(q, r, self._independent([]), 4 * self.k + 40)
+            out = self._polish(q, r, [], 4 * self.k + 40)
         if out is None:
             if self._certify_infeasible(r):
                 raise Infeasible("constraint set is empty")

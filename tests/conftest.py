@@ -1,3 +1,4 @@
+import json
 import sys
 from pathlib import Path
 
@@ -26,6 +27,35 @@ def formation3_path():
 def formation3_global(formation3):
     shifted = shift_to_target(formation3)
     return shifted, condense_scenario(shifted)
+
+
+def formation3_doc(**agent0):
+    """The bundled formation3 file as a dict, with the given fields of agent
+    0 replaced."""
+    with open(bundled_path("formation3"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["agents"][0].update(agent0)
+    return doc
+
+
+def terminal_box_doc():
+    """formation3 whose agent 0 ends its horizon in the box terminal polytope
+    |x - target| <= 0.5 (P from the Riccati equation)."""
+    target = np.array(formation3_doc()["agents"][0]["target"])
+    C = np.vstack([np.eye(4), -np.eye(4)])
+    c = np.concatenate([target + 0.5, 0.5 - target])
+    return formation3_doc(terminal={"mode": "polytope", "C": C.tolist(),
+                                    "c": c.tolist()})
+
+
+def unstabilizable_doc():
+    """formation3 whose agent 0 is A = I, B = e1: three modes at 1 that no
+    input reaches, so no Riccati solution exists (explicit P, no terminal
+    set)."""
+    return formation3_doc(A=np.eye(4).tolist(), B=[[1.0], [0.0], [0.0], [0.0]],
+                          R=[[1.0]], P=np.eye(4).tolist(),
+                          input_poly={"box": [[-1.0], [1.0]]},
+                          terminal={"mode": "none"})
 
 
 def make_axis_agent(x0, target=None, box=1.0, name="a", terminal="dare"):

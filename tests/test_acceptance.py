@@ -12,11 +12,11 @@ from dsmpc.analysis import regularization_sweep, violation_profile
 from dsmpc.cli import main as cli_main
 from dsmpc.condense import condense_scenario, eval_condensed_cost
 from dsmpc.coordinator import (contraction_factor, default_step, dual_cost,
-                               lipschitz_constant, run_ada)
+                               lipschitz_constant, recovered_law, run_ada)
 from dsmpc.errors import Infeasible
 from dsmpc.model import Scenario, shift_to_target
-from dsmpc.oracle import (recovered_law, simulate_optimal_closed_loop,
-                          solve_centralized, value_function)
+from dsmpc.oracle import (simulate_optimal_closed_loop, solve_centralized,
+                          value_function)
 from dsmpc.plant import make_disturbance, simulate_closed_loop
 
 from conftest import make_axis_agent, make_pair_scenario

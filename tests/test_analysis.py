@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -42,6 +43,45 @@ class TestSuboptimalityCurve:
         assert len(doc["series"]["gap"]) == 10
         lines = open(cpath).read().strip().split("\n")
         assert lines[0].startswith("#") and len(lines) == 2 + 10
+
+
+class TestReferencesFromTheOracle:
+    """The sweep's kappa_eps and the curve's psi* come from the oracle's
+    certified solutions, never from the scheme's inner solves."""
+
+    @pytest.fixture()
+    def inner_calls(self, monkeypatch):
+        # every dsmpc module that holds batched_solves counts through it
+        import dsmpc.coordinator
+        original, calls = dsmpc.coordinator.batched_solves, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("dsmpc") and \
+                    getattr(mod, "batched_solves", None) is original:
+                monkeypatch.setattr(mod, "batched_solves", counting)
+        return calls
+
+    def test_sweep_makes_no_inner_solve(self, formation3_global, inner_calls):
+        shifted, g = formation3_global
+        states = formation3_states(shifted, n=1)
+        assert regularization_sweep(g, states, [1e-4, 1e-8]).passed
+        assert inner_calls == []
+
+    @pytest.mark.parametrize("ell", [1, 5])
+    def test_curve_solves_only_its_rounds(self, formation3_global,
+                                          inner_calls, ell):
+        # ell rounds plus ell recorded costs
+        shifted, g = formation3_global
+        rep = suboptimality_curve(g, shifted.x0_stacked(), None, ell, 0.05)
+        assert rep.passed and len(inner_calls) == 2 * ell
+
+    def test_oracle_holds_no_inner_solve(self):
+        import dsmpc.oracle
+        assert not hasattr(dsmpc.oracle, "batched_solves")
+        assert not hasattr(dsmpc.oracle, "recovered_law")
 
 
 class TestContractionEstimate:

@@ -8,6 +8,8 @@ from dsmpc import cli
 from dsmpc.cli import main
 from dsmpc.model import load_scenario
 
+from conftest import unstabilizable_doc
+
 
 def run(argv):
     return main(argv)
@@ -273,6 +275,18 @@ class TestCheckAndDump:
         assert code == 2 and "--points" in err, err
         assert "check:" not in out
 
+    def test_check_fails_on_failed_assumptions(self, tmp_path, capsys):
+        path = tmp_path / "unstabilizable.json"
+        path.write_text(json.dumps(unstabilizable_doc()))
+        code = run(["check", "--scenario", str(path), "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert "agent 0 stabilizable: FAIL" in out
+        assert ("agent 0 terminal_decrease: FAIL  "
+                "(no Riccati solution available)") in out
+        assert out.rstrip().endswith("check: FAIL")
+        assert "error: scenario: scenario failed validation" in err
+
     def test_dump_matrices(self, formation3_path, tmp_path):
         code = run(["dump", "--scenario", formation3_path,
                     "--out", str(tmp_path)])
@@ -341,6 +355,15 @@ class TestParallelAndEntryPoint:
         assert code == 0
         summary = json.loads(open(out / "sweep_summary.json").read())
         assert len(summary["grid"]) == 2
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_sweep_needs_a_job(self, formation3_path, tmp_path, capsys, jobs):
+        out = tmp_path / "none"
+        code = run(["sweep", "--scenario", formation3_path, "--iters", "1",
+                    "--steps", "2", "--jobs", jobs, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and "argument --jobs: must be >= 1" in err, err
+        assert not out.exists()
 
     def test_module_entry_point(self, formation3_path, tmp_path):
         import subprocess, sys

@@ -8,11 +8,10 @@ from scipy.optimize import linprog
 
 from dsmpc import plant
 from dsmpc.condense import GlobalQP, condense_agent
-from dsmpc.coordinator import batched_solves
+from dsmpc.coordinator import batched_solves, recovered_law
 from dsmpc.errors import Infeasible, MaxIters
 from dsmpc.model import (AgentModel, CouplingRow, CouplingSpec, Polytope,
                          Scenario)
-from dsmpc.oracle import recovered_law
 from dsmpc.qpcore import TOL, DenseQP, QPResult, kkt_verdict, law_test
 
 from conftest import make_axis_agent
@@ -56,7 +55,7 @@ def solve_one(ca, x, lam, warm=None):
 
 
 def first_input(ca, x, lam):
-    """Agent ca's first-stage input through oracle.recovered_law."""
+    """Agent ca's first-stage input through coordinator.recovered_law."""
     return recovered_law(one_agent(ca), x, lam)
 
 

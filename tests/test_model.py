@@ -6,16 +6,18 @@ from operator import setitem
 import numpy as np
 import pytest
 
+from dsmpc.condense import condense_scenario
 from dsmpc.errors import (DimensionError, NoConvergence, NotEquilibrium,
                           ParseError)
 from dsmpc.model import (AgentModel, CouplingRow, CouplingSpec, Polytope,
                          Scenario, _matrix, _vector, load_scenario,
                          save_scenario, shift_to_target, solve_dare,
                          validate_assumptions)
+from dsmpc.plant import simulate_closed_loop
 from dsmpc.scenarios import load
 
-from conftest import make_pair_scenario
-from oracles import controllable, golden_ratio
+from conftest import make_pair_scenario, terminal_box_doc, unstabilizable_doc
+from oracles import condensed_by_rollout, controllable, golden_ratio
 
 
 class TestSolveDare:
@@ -198,6 +200,53 @@ class TestValidateAssumptions:
         })
         report = validate_assumptions(s)
         assert not report.by_item(0, "origin_interior").passed
+
+
+class TestTerminalPolytope:
+    """The "polytope" terminal mode: a box around agent 0's target."""
+
+    def test_loads_and_keeps_digest_through_save(self, tmp_path):
+        s = Scenario.from_dict(terminal_box_doc())
+        agent = s.agents[0]
+        assert not agent.terminal_equality and agent.terminal_poly.rows == 8
+        assert agent.to_dict()["terminal"]["mode"] == "polytope"
+        path = tmp_path / "box.json"
+        save_scenario(s, path)
+        again = load_scenario(path)
+        assert again.digest() == s.digest() != load("formation3").digest()
+        assert again.agents[0].terminal_poly.rows == 8
+
+    def test_validates_with_invariance_warning(self):
+        report = validate_assumptions(Scenario.from_dict(terminal_box_doc()))
+        assert report.passed
+        assert report.warnings == [
+            "agent 0: invariance of the supplied terminal polytope is taken "
+            "on faith"]
+
+    def test_condensed_terminal_rows_match_rollout(self):
+        shifted = shift_to_target(Scenario.from_dict(terminal_box_doc()))
+        ca = condense_scenario(shifted).agents[0]
+        ref = condensed_by_rollout(shifted.agents[0], shifted.horizon,
+                                   shifted.coupling.rows, 0)
+        for key in ("C", "D", "c"):
+            assert getattr(ca, key).shape == ref[key].shape, key
+            assert np.abs(getattr(ca, key) - ref[key]).max() <= 1e-12, key
+
+    def test_closed_loop_runs(self):
+        tr = simulate_closed_loop(Scenario.from_dict(terminal_box_doc()),
+                                  steps=5)
+        assert tr.infeasible_at is None and tr.states.shape == (6, 12)
+        assert np.all(np.isfinite(tr.states))
+
+
+class TestFailedAssumptions:
+    def test_unstabilizable_agent_reported_not_raised(self):
+        report = validate_assumptions(Scenario.from_dict(unstabilizable_doc()))
+        assert not report.passed
+        failed = [(c.agent, c.item) for c in report.checks if not c.passed]
+        assert failed == [(0, "stabilizable"), (0, "terminal_decrease")]
+        assert report.by_item(0, "terminal_decrease").detail == \
+            "no Riccati solution available"
 
 
 class TestShiftToTarget:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dsmpc.condense import condense_scenario
-from dsmpc.coordinator import dual_cost
+from dsmpc.coordinator import dual_cost, recovered_law
 from dsmpc.errors import Infeasible
 from dsmpc.model import shift_to_target
 from dsmpc.oracle import (feedback_laws, simulate_optimal_closed_loop,
@@ -131,6 +131,24 @@ class TestOneCertificate:
             for a, b in ((sol.u, again.u), (sol.lam, again.lam),
                          (sol.nu, again.nu)):
                 assert np.array_equal(a, b)
+
+
+class TestSchemeAtTheOraclePrice:
+    # the references the analysis takes from the oracle equal what the
+    # scheme computes at the oracle's price: the first input block of the
+    # regularized primal is the inner problems' law at lam_eps (strict
+    # convexity), and the dual cost at lam_eps is
+    # -(f(u_eps) + eps/2 ||lam_eps||^2) (strong duality)
+    @pytest.mark.parametrize("eps", [1e-8, 1e-4, 0.05])
+    def test_law_and_dual_cost(self, formation3_global, eps):
+        shifted, g = formation3_global
+        for x in formation3_states(shifted):
+            sol = solve_centralized(g, x, eps)
+            law = recovered_law(g, x, sol.lam)
+            assert np.abs(law - g.first_inputs(sol.u)).max() <= 1e-9
+            psi = -(sol.value + 0.5 * eps * float(sol.lam @ sol.lam))
+            assert dual_cost(sol.lam, x, g, eps) == \
+                pytest.approx(psi, rel=1e-9, abs=0.0)
 
 
 def max_gap(a, b):
