@@ -33,7 +33,7 @@ for ell in (1, 5, 20, 100):
     tr.save(os.path.join(OUT, f"formation3_l{ell}.csv"),
             os.path.join(OUT, f"formation3_l{ell}.meta.json"))
 
-opt = simulate_optimal_closed_loop(scenario, steps=60)
+opt = simulate_optimal_closed_loop(scenario, steps=60).states
 gap = np.max(np.abs(traces[100].states - opt))
 print(f"\nl=100 trajectory vs centrally optimal loop: "
       f"max deviation {gap:.3e}")

@@ -6,8 +6,9 @@ path.  A solve may start from an earlier solve's active set (its rows, local
 then coupling, are the same for every eps and state of one problem); the
 callers here chain their own solves, never the coordinator's, and nothing is
 kept between calls; nothing goes through the scheme it checks.  Supplies the
-exact primal/dual solutions, both feedback laws (first primal input blocks)
-and the square-root value function used in the stability experiments.
+exact primal/dual solutions, both feedback laws (first primal input blocks),
+the square-root value function used in the stability experiments, and the
+optimal closed loop: the oracle's law alone, in the plant's step loop.
 """
 
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from scipy.linalg import block_diag
 from .condense import eval_condensed_cost
 from .coordinator import checked_eps
 from .errors import NoConvergence
-from .plant import plant_step, prepared
+from .plant import _closed_loop, prepared
 from .qpcore import DenseQP, kkt_verdict
 
 ORACLE_TOL = 1e-9
@@ -101,22 +102,21 @@ def feedback_laws(g, x, eps):
     return g.first_inputs(sol0.u), g.first_inputs(sol.u)
 
 
-def simulate_optimal_closed_loop(scenario, steps=None, eps=0.0):
-    """Nominal (d = 0) closed loop under the exact MPC law (or its
-    regularized version for eps > 0).  Returns states in original
-    coordinates, shape (steps+1, n).  Each step's solve starts from the
-    previous step's active set."""
-    steps = scenario.sim_steps if steps is None else int(steps)
-    _, shifted, g = prepared(scenario)
-    xbar, ubar = shifted.shift
-    x = shifted.x0_stacked()
-    states = np.zeros((steps + 1, x.size))
-    states[0] = x + xbar
-    zero_d, warm = np.zeros(x.size), None
-    for t in range(steps):
+def simulate_optimal_closed_loop(scenario, steps=None, eps=0.0, dist=None):
+    """Closed loop under the exact MPC law (or its regularized version for
+    eps > 0), in the plant's step loop under `dist` (default d = 0): a
+    `ClosedLoopTrace` whose prices are the oracle's lam, with ell and alpha
+    None and no diagnostics.  Each step's solve starts from the previous
+    step's active set."""
+    g, warm = prepared(scenario)[2], None
+
+    def law(x):
+        nonlocal warm
         sol = solve_centralized(g, x, eps, warm)
-        x = plant_step(x, g.first_inputs(sol.u), zero_d, shifted.agents)
         warm = sol.active
-        states[t + 1] = x + xbar
+        return g.first_inputs(sol.u), sol.lam
+
+    trace = _closed_loop(scenario, law, steps, dist, ell=None,
+                         epsilon=float(eps), alpha=None)
     g.oracle_ws.pop(eps, None)  # one per eps would pile up in the kept set-up
-    return states
+    return trace

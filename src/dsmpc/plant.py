@@ -1,7 +1,7 @@
 """Closed-loop simulation of the plant-optimizer interconnection: at each
-sampling time the running price estimate is advanced by a fixed number of
-ascent rounds at the current measurement, the first-stage inputs are
-recovered, and the plant steps forward under a bounded disturbance.
+sampling time a feedback law maps the measurement to first-stage inputs and
+a price, and the plant steps forward under a bounded disturbance.  One loop
+runs the scheme's law (fixed-budget ascent, input recovery) and the oracle's.
 
 Nothing is built again per step: the condensed problem is kept per scenario
 digest (`prepared`), the plant's stacked A and B per agent tuple
@@ -84,6 +84,11 @@ class Disturbance:
             raise UnknownKind(f"unknown disturbance kind {self.kind!r}")
         if self.vertex is not None:
             self.vertex = np.sign(np.asarray(self.vertex, dtype=float)).reshape(-1)
+            if self.vertex.size != self.bound.size:
+                raise DimensionError(f"disturbance vertex has {self.vertex.size}"
+                                     f" entries, bound {self.bound.size}")
+            if not np.all(np.abs(self.vertex) == 1.0):  # a zero or NaN entry
+                raise ValueError("disturbance vertex entries must be nonzero")
 
     def realize(self, steps):
         """Materialize the sequence, shape (steps, dim).  Same seed, same
@@ -108,13 +113,13 @@ class ClosedLoopTrace:
 
     states: np.ndarray          # (T+1, n) realized states
     inputs: np.ndarray          # (T, m) applied first-stage inputs
-    prices: np.ndarray          # (T, Np) dual iterate after each update
+    prices: np.ndarray          # (T, Np) price after each update (oracle: lam)
     disturbances: np.ndarray    # (T, n)
     violations: np.ndarray      # (T, p) stage coupling violations, positive part
     wall_clock: np.ndarray      # (T,) seconds per sampling step
-    ell: int
+    ell: int | None             # ell and alpha: None for the oracle's law
     epsilon: float
-    alpha: float
+    alpha: float | None
     seed: int
     scenario_digest: str
     targets: np.ndarray
@@ -173,6 +178,45 @@ class ClosedLoopTrace:
                 fh.write("\n")
 
 
+def _closed_loop(scenario, law, steps, dist, **fields):
+    """The sampling-time loop every law shares.  `law(x)` maps the shifted
+    state to (first-stage inputs, price) and may raise Infeasible, which
+    truncates the run; `fields` are the law's trace fields (ell, alpha, ...)."""
+    steps = scenario.sim_steps if steps is None else int(steps)
+    digest, shifted, g = prepared(scenario)
+    if dist is None:
+        dist = make_disturbance("zero", np.zeros(shifted.n_total),
+                                seed=scenario.seed)
+    d_seq = dist.realize(steps)
+    if d_seq.shape[1] != shifted.n_total:
+        raise DimensionError(f"disturbance dimension {d_seq.shape[1]} != "
+                             f"state dimension {shifted.n_total}")
+    xbar, ubar = shifted.shift
+    Eu, Ex, b = shifted.stage
+    x = shifted.x0_stacked()
+    states, inputs, prices, viols, clocks = [x + xbar], [], [], [], []
+    for t in range(steps):
+        tic = time.perf_counter()
+        try:
+            u_first, lam = law(x)
+        except Infeasible:
+            break
+        viols.append(np.maximum(Ex @ x + Eu @ u_first - b, 0.0))
+        x = plant_step(x, u_first, d_seq[t], shifted.agents)
+        clocks.append(time.perf_counter() - tic)
+        prices.append(lam)
+        inputs.append(u_first + ubar)
+        states.append(x + xbar)
+
+    T = len(inputs)  # a run shorter than `steps` was truncated
+    return ClosedLoopTrace(
+        states=np.array(states), inputs=np.reshape(inputs, (T, shifted.m_total)),
+        prices=np.reshape(prices, (T, g.n_dual)), disturbances=d_seq[:T],
+        violations=np.reshape(viols, (T, b.size)), wall_clock=np.array(clocks),
+        seed=dist.seed, scenario_digest=digest, targets=scenario.targets_stacked(),
+        infeasible_at=T if T < steps else None, **fields)
+
+
 def simulate_closed_loop(scenario, ell=None, steps=None, dist=None, alpha=None):
     """Run the interconnection for `steps` sampling times.
 
@@ -183,60 +227,29 @@ def simulate_closed_loop(scenario, ell=None, steps=None, dist=None, alpha=None):
     partial trace is returned with `infeasible_at` set.
     """
     ell = scenario.iterations if ell is None else int(ell)
-    steps = scenario.sim_steps if steps is None else int(steps)
-    digest, shifted, g = prepared(scenario)
-    if alpha is None:
-        alpha = default_step(lipschitz_constant(g, shifted.epsilon))
-    if dist is None:
-        dist = make_disturbance("zero", np.zeros(shifted.n_total),
-                                seed=scenario.seed)
-    d_seq = dist.realize(steps)
-    if d_seq.shape[1] != shifted.n_total:
-        raise DimensionError(
-            f"disturbance dimension {d_seq.shape[1]} != state dimension "
-            f"{shifted.n_total}"
-        )
-    xbar, ubar = shifted.shift
-    Eu, Ex, b = shifted.stage
-    x = shifted.x0_stacked()
-    lam = np.zeros(g.n_dual)
-    states, inputs, prices, viols, clocks, diag = [x + xbar], [], [], [], [], []
-    warm = infeasible_at = None
+    _, shifted, g = prepared(scenario)
     eps = shifted.epsilon
+    if alpha is None:
+        alpha = default_step(lipschitz_constant(g, eps))
+    lam, warm, diag = np.zeros(g.n_dual), None, []
     paths, active_rows, kkt_max = np.zeros(3, dtype=int), 0, 0.0
 
-    for t in range(steps):
-        tic = time.perf_counter()
-        try:
-            run = run_ada(lam, x, ell, g, eps, alpha=alpha, warm=warm)
-            lam = run.lam
-            rec = batched_solves(g, run.terms, lam, run.warm)
-        except Infeasible:
-            infeasible_at = t
-            break
+    def law(x):
+        nonlocal lam, warm, paths, active_rows, kkt_max
+        run = run_ada(lam, x, ell, g, eps, alpha=alpha, warm=warm)
+        lam = run.lam
+        rec = batched_solves(g, run.terms, lam, run.warm)
         warm = rec.nu > 0.0
         paths += run.paths + rec.paths
         active_rows += run.active_rows + int(np.count_nonzero(warm))
         kkt_max = max(kkt_max, run.kkt_max, float(rec.res.max(initial=0.0)))
-        u_first = g.first_inputs(rec.u)
-        viols.append(np.maximum(Ex @ x + Eu @ u_first - b, 0.0))
-        x = plant_step(x, u_first, d_seq[t], shifted.agents)
-        clocks.append(time.perf_counter() - tic)
-        prices.append(lam)
-        inputs.append(u_first + ubar)
-        states.append(x + xbar)
         diag.append([(j + 1, float(r), float(d)) for j, (r, d) in
                      enumerate(zip(run.agg_residuals, run.mu_steps))])
+        return g.first_inputs(rec.u), lam
 
-    T = len(inputs)
-    return ClosedLoopTrace(
-        states=np.array(states), inputs=np.reshape(inputs, (T, shifted.m_total)),
-        prices=np.reshape(prices, (T, g.n_dual)), disturbances=d_seq[:T],
-        violations=np.reshape(viols, (T, b.size)), wall_clock=np.array(clocks),
-        ell=ell, epsilon=eps, alpha=float(alpha), seed=dist.seed,
-        scenario_digest=digest, targets=scenario.targets_stacked(),
-        infeasible_at=infeasible_at, dual_diagnostics=diag,
-        inner_solves=dict(zip(("law", "polish", "cold"), paths.tolist()),
-                          lp_certificate=int(infeasible_at is not None),
-                          active_rows=active_rows, kkt_max=kkt_max),
-    )
+    trace = _closed_loop(scenario, law, steps, dist, ell=ell, epsilon=eps,
+                         alpha=float(alpha), dual_diagnostics=diag)
+    trace.inner_solves = dict(zip(("law", "polish", "cold"), paths.tolist()),
+                              lp_certificate=int(trace.infeasible_at is not None),
+                              active_rows=active_rows, kkt_max=kkt_max)
+    return trace

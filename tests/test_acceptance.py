@@ -8,7 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dsmpc.analysis import regularization_sweep, violation_profile
+from dsmpc.analysis import (iss_experiment, regularization_sweep,
+                            violation_profile)
 from dsmpc.cli import main as cli_main
 from dsmpc.condense import condense_scenario, eval_condensed_cost
 from dsmpc.coordinator import (contraction_factor, default_step, dual_cost,
@@ -17,7 +18,7 @@ from dsmpc.errors import Infeasible
 from dsmpc.model import Scenario, shift_to_target
 from dsmpc.oracle import (simulate_optimal_closed_loop, solve_centralized,
                           value_function)
-from dsmpc.plant import make_disturbance, simulate_closed_loop
+from dsmpc.plant import simulate_closed_loop
 
 from conftest import make_axis_agent, make_pair_scenario
 from oracles import sparse_cost
@@ -45,7 +46,7 @@ def optimal_states(f3, f3_global):
     """Oracle-optimal nominal closed loop, in shifted coordinates."""
     shifted, _ = f3_global
     xbar, _ = shifted.shift
-    states = simulate_optimal_closed_loop(f3, steps=60)
+    states = simulate_optimal_closed_loop(f3, steps=60).states
     return states - xbar[None, :]
 
 
@@ -167,7 +168,7 @@ class TestAcceptance:
             self, f3, sweep_traces):
         tr1 = sweep_traces[1]
         err1 = float(np.linalg.norm(tr1.states[-1] - tr1.targets))
-        opt = simulate_optimal_closed_loop(f3, steps=60)
+        opt = simulate_optimal_closed_loop(f3, steps=60).states
         tr500 = sweep_traces[500]
         err500 = float(np.max(np.abs(tr500.states - opt)))
         ok = err1 <= 1e-2 and err500 <= 1e-3
@@ -234,10 +235,13 @@ class TestAcceptance:
                 s = replace(s, agents=[
                     replace(a, x0=scale * a.x0 + jitter[off[i]:off[i + 1]])
                     for i, a in enumerate(s.agents)])
+            # s is already in shifted coordinates, so the loop reports
+            # states in that frame directly; an infeasible state truncates it
+            loop = simulate_optimal_closed_loop(s, steps=14)
+            if loop.infeasible_at is not None:
+                continue
+            states = loop.states
             try:
-                # s is already in shifted coordinates, so the loop reports
-                # states in that frame directly
-                states = simulate_optimal_closed_loop(s, steps=14)
                 phis = [value_function(g, states[t]) for t in range(15)]
             except Infeasible:
                 continue
@@ -252,29 +256,21 @@ class TestAcceptance:
                       f"trajectories (criterion < 1)")
 
     def test_09_disturbance_gains(self, f3):
-        ell = 10  # comfortably above the empirical stability threshold of 1
-        bounds = [0.0, 0.01, 0.05]
-        seeds = [0, 1, 2, 3, 4]
-        target = f3.targets_stacked()
-        agg = []
-        for beta in bounds:
-            worst = 0.0
-            for seed in seeds:
-                dist = make_disturbance("zero" if beta == 0 else "uniform",
-                                        beta * np.ones(f3.n_total), seed=seed)
-                tr = simulate_closed_loop(f3, ell=ell, steps=60, dist=dist)
-                err = np.linalg.norm(tr.states - target[None, :], axis=1)
-                worst = max(worst, float(err[30:].max()))
-                if beta == 0:
-                    break  # all seeds identical without noise
-            agg.append(worst)
-        finite = all(np.isfinite(v) for v in agg)
-        monotone = all(a <= b + 1e-9 for a, b in zip(agg, agg[1:]))
-        nominal = agg[0] <= 1e-3
-        ok = finite and monotone and nominal
+        # ten rounds are comfortably above the empirical stability threshold
+        # of one; the optimal loop runs at the scenario's eps under the same
+        # disturbance, and bound zero runs once (no seed changes it)
+        rep = iss_experiment(f3, 10, [0.0, 0.01, 0.05], range(5), steps=60)
+        tols = {c["name"]: c["tolerance"] for c in rep.checks}
+        ok = rep.passed and tols == {"all_finite": np.inf,
+                                     "monotone_in_bound": 1e-9,
+                                     "nominal_small": 1e-3}
+
+        def fmt(key):
+            return ['%.3e' % v for v in rep.series[key]]
         assert report(9, "disturbance-to-state gains", ok,
-                      f"trailing max per bound {['%.3e' % v for v in agg]}, "
-                      f"nominal tol 1e-3")
+                      f"trailing max per bound {fmt('ultimate_bound')}, "
+                      f"optimal loop {fmt('optimal_bound')}, "
+                      f"largest gap to it {fmt('gap')}, nominal tol 1e-3")
 
     def test_10_determinism(self, formation3_path, tmp_path):
         outs = [tmp_path / "r1", tmp_path / "r2"]

@@ -13,7 +13,7 @@ from dsmpc.coordinator import (contraction_factor, lipschitz_constant,
                                min_iterations)
 from dsmpc.model import shift_to_target
 from dsmpc.oracle import solve_centralized
-from dsmpc.plant import simulate_closed_loop
+from dsmpc.plant import make_disturbance, simulate_closed_loop
 
 from conftest import make_pair_scenario
 from test_oracle import formation3_states
@@ -200,6 +200,37 @@ class TestIssExperiment:
         ub = rep.series["ultimate_bound"]
         assert ub[0] <= 1e-3
         assert ub[1] >= ub[0]
+
+    def test_zero_bound_runs_once(self, monkeypatch):
+        # the zero sequence ignores the seed: bound zero runs one scheme loop
+        # and one optimal loop, and every seed gets what its own run gives
+        import dsmpc.analysis
+        s = make_pair_scenario(epsilon=0.01)
+        calls = []
+
+        def counting(run):
+            def counted(scenario, *args):
+                calls.append(args[-1].kind)  # the disturbance comes last
+                return run(scenario, *args)
+            return counted
+        for name in ("simulate_closed_loop", "simulate_optimal_closed_loop"):
+            monkeypatch.setattr(dsmpc.analysis, name,
+                                counting(getattr(dsmpc.analysis, name)))
+        rep = iss_experiment(s, 8, [0.0, 0.02], [0, 1, 2], steps=24)
+        assert calls == ["zero"] * 2 + ["uniform"] * 6
+        tr = simulate_closed_loop(s, 8, 24, make_disturbance(
+            "zero", np.zeros(s.n_total), seed=2))
+        err = np.linalg.norm(tr.states - s.targets_stacked(), axis=1)
+        assert np.all(rep.series["per_seed"][0] == err[12:].max())
+
+    def test_large_budget_tracks_the_disturbed_optimal_loop(self, formation3):
+        # acceptance 05's tolerance, under disturbance: at 500 rounds the
+        # scheme's states stay within 1e-3 of the regularized optimal loop's
+        rep = iss_experiment(formation3, 500, [0.01], [0], steps=60)
+        assert rep.passed and not rep.params["any_truncated"]
+        assert 0.0 < rep.series["gap"][0] <= 1e-3
+        assert rep.series["optimal_bound"][0] == pytest.approx(
+            rep.series["ultimate_bound"][0], rel=1e-2)
 
 
 class TestGapEnvelopeSlope:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from dsmpc.errors import Infeasible
 from dsmpc.model import shift_to_target
 from dsmpc.oracle import (feedback_laws, simulate_optimal_closed_loop,
                           solve_centralized, value_function)
-from dsmpc.plant import plant_step
+from dsmpc.plant import make_disturbance, plant_step
 
 from conftest import make_pair_scenario
 from oracles import coupled_kkt_residual
@@ -205,7 +207,7 @@ class TestWarmStart:
             sols.append(solve_centralized(g, x, eps, warm))
             return sols[-1]
         monkeypatch.setattr(dsmpc.oracle, "solve_centralized", recording)
-        states = simulate_optimal_closed_loop(formation3, steps=20)
+        states = simulate_optimal_closed_loop(formation3, steps=20).states
         assert warms == [None] + [sol.active for sol in sols[:-1]]
         shifted = shift_to_target(formation3)
         g = condense_scenario(shifted)
@@ -217,6 +219,36 @@ class TestWarmStart:
             x = plant_step(x, u0, np.zeros(x.size), shifted.agents)
             cold.append(x + xbar)
         assert np.max(np.abs(states - np.array(cold))) <= 1e-9
+
+
+class TestOptimalClosedLoop:
+    """The oracle's law in the plant's step loop: a trace, disturbance and
+    truncation on the same terms as the scheme's loop."""
+
+    def test_trace_of_the_oracle_law(self, formation3_global):
+        shifted, g = formation3_global
+        tr = simulate_optimal_closed_loop(shifted, steps=4, eps=1e-4)
+        sol = solve_centralized(g, shifted.x0_stacked(), 1e-4)
+        assert (tr.ell, tr.alpha, tr.epsilon) == (None, None, 1e-4)
+        assert tr.dual_diagnostics == [] and tr.inner_solves == {}
+        assert np.array_equal(tr.prices[0], sol.lam)
+        assert np.array_equal(tr.inputs[0], g.first_inputs(sol.u))
+        assert tr.replay_residual(shifted.agents) <= 1e-12
+        assert json.loads(json.dumps(tr.metadata()))["ell"] is None
+
+    def test_disturbed_unregularized_loop_truncates(self, formation3):
+        # the draw that pushes the eps = 0 loop out of its feasible set after
+        # one step; the regularized loop at the scenario's eps stays feasible
+        dist = make_disturbance("uniform", 0.01 * np.ones(formation3.n_total),
+                                seed=0)
+        tr = simulate_optimal_closed_loop(formation3, steps=60, dist=dist)
+        assert tr.infeasible_at == 1 and tr.steps == 1
+        assert tr.states.shape == (2, formation3.n_total)
+        assert np.array_equal(tr.disturbances, dist.realize(1))
+        assert tr.replay_residual(formation3.agents) <= 1e-12
+        reg = simulate_optimal_closed_loop(formation3, steps=60,
+                                           eps=formation3.epsilon, dist=dist)
+        assert reg.infeasible_at is None and reg.steps == 60
 
 
 class TestValueFunction:
@@ -234,7 +266,7 @@ class TestValueFunction:
             assert phi >= np.sqrt(0.5 * lam_min_q) * np.linalg.norm(x) - 1e-9
 
     def test_decreases_along_optimal_loop(self, formation3):
-        states = simulate_optimal_closed_loop(formation3, steps=12)
+        states = simulate_optimal_closed_loop(formation3, steps=12).states
         shifted = shift_to_target(formation3)
         g = condense_scenario(shifted)
         xbar, _ = shifted.shift

@@ -128,6 +128,19 @@ class TestMakeDisturbance:
         with pytest.raises(UnknownKind):
             make_disturbance("gaussian", np.ones(2))
 
+    @pytest.mark.parametrize("vertex, bound", [
+        ([-1.0], np.ones(2)), ([1.0, -1.0, 1.0], np.ones(4))],
+        ids=["broadcast", "short"])
+    def test_vertex_length_checked(self, vertex, bound):
+        with pytest.raises(DimensionError, match="vertex"):
+            make_disturbance("constant_worst", bound, vertex=vertex)
+
+    @pytest.mark.parametrize("vertex", [[1.0, 0.0], [np.nan, 1.0]],
+                             ids=["zero", "nan"])
+    def test_vertex_entries_nonzero(self, vertex):
+        with pytest.raises(ValueError, match="vertex"):
+            make_disturbance("constant_worst", np.ones(2), vertex=vertex)
+
     def test_negative_bound_rejected(self):
         with pytest.raises(ValueError):
             make_disturbance("zero", np.array([-0.1]))
@@ -325,7 +338,7 @@ class TestPreparedSetup:
         monkeypatch.setattr(plant, "_setup", EMPTY)
         loop = cold(simulate_closed_loop, s, ell=3, steps=15,
                     dist=uniform(s, 5))
-        optimal = cold(simulate_optimal_closed_loop, s, steps=5)
+        optimal = cold(simulate_optimal_closed_loop, s, steps=5).states
         # runs that leave their laws and masks in the shared condensed
         # problem before the same runs again; an optimal loop drops the
         # oracle workspace it built there
@@ -336,7 +349,8 @@ class TestPreparedSetup:
         hot = simulate_closed_loop(s, ell=3, steps=15, dist=uniform(s, 5))
         assert fingerprint(hot) == fingerprint(loop)
         simulate_closed_loop(s, ell=1, steps=15, dist=uniform(s, 7))
-        assert np.array_equal(simulate_optimal_closed_loop(s, steps=5), optimal)
+        assert np.array_equal(simulate_optimal_closed_loop(s, steps=5).states,
+                              optimal)
         assert plant._setup[0] == s.digest() and prepared(s)[2] is g
 
     @pytest.mark.parametrize("change", [
