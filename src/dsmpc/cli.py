@@ -32,15 +32,24 @@ SCENARIO_ERRORS = (ParseError, DimensionError, NotEquilibrium, UnknownKind,
 SOLVER_ERRORS = (Infeasible, MaxIters, NoConvergence, np.linalg.LinAlgError)
 
 
-def _add_common(sp):
+def _add_common(sp, out=True):
     sp.add_argument("--scenario", required=True, help="scenario JSON file")
-    sp.add_argument("--out", default="runs", help="output directory")
+    if out:
+        sp.add_argument("--out", default="runs", help="output directory")
 
 
 def positive_int(text):
     if int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
     return int(text)
+
+
+def comma_list(kind):
+    """An argparse type: one or more comma-separated `kind` values."""
+    def parse(text):
+        return [kind(v) for v in text.split(",")]
+    parse.__name__ = f"comma-separated {kind.__name__}"  # named in the error
+    return parse
 
 
 def build_parser():
@@ -51,7 +60,7 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("check", help="validate assumptions and condensation")
-    _add_common(sp)
+    _add_common(sp, out=False)
     sp.add_argument("--points", type=positive_int, default=25,
                     help="random points for the cost self-test")
 
@@ -75,10 +84,12 @@ def build_parser():
 
     sp = sub.add_parser("sweep", help="grid of closed-loop runs")
     _add_common(sp)
-    sp.add_argument("--iters", default="1",
+    sp.add_argument("--iters", type=comma_list(int), default=[1],
                     help="comma-separated round counts")
-    sp.add_argument("--eps", default="", help="comma-separated eps values")
-    sp.add_argument("--seeds", default="", help="comma-separated seeds")
+    sp.add_argument("--eps", type=comma_list(float), default=[None],
+                    help="comma-separated eps values; omitted, the scenario's")
+    sp.add_argument("--seeds", type=comma_list(int), default=[None],
+                    help="comma-separated seeds; omitted, the scenario's")
     sp.add_argument("--steps", type=int, default=None)
     sp.add_argument("--dist", default="zero",
                     choices=["zero", "uniform", "constant_worst"])
@@ -184,13 +195,9 @@ def cmd_simulate(args):
 
 
 def cmd_sweep(args):
-    iters = [int(v) for v in str(args.iters).split(",") if v != ""]
-    eps_list = [float(v) for v in str(args.eps).split(",") if v != ""] or [None]
-    seeds = [int(v) for v in str(args.seeds).split(",") if v != ""] or [None]
-    grid = [(ell, eps, seed) for ell in iters for eps in eps_list
-            for seed in seeds]
     runs = [(args.scenario, ell, eps, seed, args.steps, args.dist,
-             args.dist_bound, args.out) for ell, eps, seed in grid]
+             args.dist_bound, args.out)
+            for ell in args.iters for eps in args.eps for seed in args.seeds]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_run_one, *zip(*runs)))

@@ -2,16 +2,15 @@
 standing-assumption checks (stabilizability, origin interiority, weight
 definiteness, terminal decrease) backed by a PBH test and a Riccati solver.
 
-The model types are immutable values with read-only arrays; a change is a
-`dataclasses.replace`, which validates again.  A caller's array is always
-copied and checked; only an array this module froze is taken as is.  Values
-compare and hash by identity; equal content has equal `Scenario.digest()`.
+The model types are immutable values; a change is a `dataclasses.replace`,
+which validates again.  Every array a model value holds is a read-only copy
+made and checked by that value's constructor.  Values compare and hash by
+identity; equal content has equal `Scenario.digest()`.
 """
 
 import hashlib
 import json
 import math
-import weakref
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from types import MappingProxyType
@@ -25,23 +24,15 @@ DARE_RESIDUAL_TOL = 1e-10
 PBH_TOL = 1e-9
 EQUILIBRIUM_TOL = 1e-9
 TERMINAL_TOL = 1e-8     # largest eigenvalue allowed in the decrease residual
-_made = weakref.WeakValueDictionary()  # id -> each array `_frozen` returned
 
 
 def _frozen(M):
-    """M made read-only, owning its memory, so that no view can write it, and
-    registered as one that `_is_frozen` trusts."""
+    """The fresh array M made read-only, owning its memory, so that no view
+    can write it."""
     if M.base is not None:
         M = M.copy()
     M.setflags(write=False)
-    _made[id(M)] = M
     return M
-
-
-def _is_frozen(obj, ndim):
-    """Whether obj is an array of `ndim` dimensions that `_frozen` made.  A
-    caller's array never is, even read-only: its owner can make it writable."""
-    return _made.get(id(obj)) is obj and obj.ndim == ndim
 
 
 def _set(obj, **fields):
@@ -50,37 +41,33 @@ def _set(obj, **fields):
 
 
 def _matrix(obj, what, rows=None, cols=None):
-    if not _is_frozen(obj, 2):
-        try:
-            M = np.array(obj, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{what}: not a numeric matrix") from exc
-        if not np.isfinite(M).all():
-            raise ParseError(f"{what}: non-finite entry")
-        if M.ndim == 1 and M.size == 0:
-            M = M.reshape(0, cols if cols is not None else 0)
-        if M.ndim != 2:
-            raise DimensionError(f"{what}: expected a 2-d matrix, got shape {M.shape}")
-        obj = _frozen(M)
-    if rows is not None and obj.shape[0] != rows:
-        raise DimensionError(f"{what}: expected {rows} rows, got {obj.shape[0]}")
-    if cols is not None and obj.shape[1] != cols:
-        raise DimensionError(f"{what}: expected {cols} columns, got {obj.shape[1]}")
-    return obj
+    try:
+        M = np.array(obj, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{what}: not a numeric matrix") from exc
+    if not np.isfinite(M).all():
+        raise ParseError(f"{what}: non-finite entry")
+    if M.ndim == 1 and M.size == 0:
+        M = M.reshape(0, cols if cols is not None else 0)
+    if M.ndim != 2:
+        raise DimensionError(f"{what}: expected a 2-d matrix, got shape {M.shape}")
+    if rows is not None and M.shape[0] != rows:
+        raise DimensionError(f"{what}: expected {rows} rows, got {M.shape[0]}")
+    if cols is not None and M.shape[1] != cols:
+        raise DimensionError(f"{what}: expected {cols} columns, got {M.shape[1]}")
+    return _frozen(M)
 
 
 def _vector(obj, what, size=None):
-    if not _is_frozen(obj, 1):
-        try:
-            v = np.asarray(obj, dtype=float).flatten()
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{what}: not a numeric vector") from exc
-        if not np.isfinite(v).all():
-            raise ParseError(f"{what}: non-finite entry")
-        obj = _frozen(v)
-    if size is not None and obj.size != size:
-        raise DimensionError(f"{what}: expected length {size}, got {obj.size}")
-    return obj
+    try:
+        v = np.asarray(obj, dtype=float).flatten()
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{what}: not a numeric vector") from exc
+    if not np.isfinite(v).all():
+        raise ParseError(f"{what}: non-finite entry")
+    if size is not None and v.size != size:
+        raise DimensionError(f"{what}: expected length {size}, got {v.size}")
+    return _frozen(v)
 
 
 def _scalar(obj, what, kind=int):
@@ -286,9 +273,8 @@ class CouplingRow:
 
     def __post_init__(self):
         def frozen(blocks):  # the scenario checks the entries
-            return MappingProxyType({
-                i: v if _is_frozen(v, 1) else _frozen(np.asarray(v, float).flatten())
-                for i, v in blocks.items()})
+            return MappingProxyType({i: _frozen(np.asarray(v, float).flatten())
+                                     for i, v in blocks.items()})
         _set(self, Eu=frozen(self.Eu), Ex=frozen(self.Ex), b=float(self.b))
 
     def agents(self):
@@ -355,6 +341,9 @@ class CouplingSpec:
                 except (TypeError, ValueError) as exc:
                     raise ParseError(f"coupling row {k}: abs_state_diff needs "
                                      f"a pair of agents") from exc
+                if i == j:  # a dict keyed {i: s, j: -s} would keep one block
+                    raise ParseError(f"coupling row {k}: abs_state_diff names "
+                                     f"agent {i!r} twice")
                 sel = _matrix(sel, f"coupling row {k}: select")
                 bound = _vector(bound, f"coupling row {k}: bound", sel.shape[0])
                 for r in range(sel.shape[0]):
@@ -365,10 +354,13 @@ class CouplingSpec:
             b = _vector(item.get("b", []), f"coupling row {k}: b")
             if b.size == 0:
                 raise ParseError(f"coupling row {k}: empty right-hand side")
-            eu, ex = ({int(i): _matrix(v, f"coupling row {k}: {key}[{i}]", rows=b.size)
-                       for i, v in _object(item.get(key) or {},
-                                           f"coupling row {k}: {key}").items()}
-                      for key in ("Eu", "Ex"))
+            eu, ex = {}, {}
+            for key, blocks in (("Eu", eu), ("Ex", ex)):
+                what = f"coupling row {k}: {key}"
+                for i, v in _object(item.get(key) or {}, what).items():
+                    if int(i) in blocks:  # keys such as "0" and "00"
+                        raise ParseError(f"{what} names agent {int(i)} twice")
+                    blocks[int(i)] = _matrix(v, f"{what}[{i}]", rows=b.size)
             rows += [CouplingRow({i: v[r] for i, v in eu.items()},
                                  {i: v[r] for i, v in ex.items()}, b[r])
                      for r in range(b.size)]
@@ -595,9 +587,9 @@ def validate_assumptions(scenario):
 def shift_to_target(scenario):
     """Return an equivalent scenario in coordinates where the targets sit at
     the origin.  Constraint offsets and coupling bounds are adjusted; the
-    applied shift is recorded on the result for un-shifting outputs.  The
-    agents' matrices were validated when they were built, so the shifted
-    agents share them.
+    applied shift is recorded on the result for un-shifting outputs.  Like
+    every model value, the result holds its own checked copy of each array,
+    the matrices it did not change included.
     """
     xbars, ubars, agents = [], [], []
     for a in scenario.agents:

@@ -43,7 +43,7 @@ class TestExitCodes:
     def test_malformed_scenario_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{]")
-        code = run(["check", "--scenario", str(bad), "--out", str(tmp_path)])
+        code = run(["check", "--scenario", str(bad)])
         assert code == 3
 
     def test_non_finite_entry_scenario_error(self, tmp_path, formation3_path):
@@ -51,7 +51,7 @@ class TestExitCodes:
         doc["agents"][1]["B"][0][0] = float("inf")
         bad = tmp_path / "inf.json"
         bad.write_text(json.dumps(doc))
-        code = run(["check", "--scenario", str(bad), "--out", str(tmp_path)])
+        code = run(["check", "--scenario", str(bad)])
         assert code == 3
 
     def test_non_finite_header_scenario_error(self, tmp_path, formation3_path):
@@ -61,8 +61,9 @@ class TestExitCodes:
             doc[key] = value
             bad = tmp_path / f"{key}.json"
             bad.write_text(json.dumps(doc))
-            for cmd in (["check"], ["simulate", "--steps", "2"]):
-                code = run(cmd + ["--scenario", str(bad), "--out", str(tmp_path)])
+            for cmd in (["check"], ["simulate", "--steps", "2",
+                                    "--out", str(tmp_path)]):
+                code = run(cmd + ["--scenario", str(bad)])
                 assert code == 3, (key, value, cmd[0])
 
     def test_non_numeric_epsilon_scenario_error(self, tmp_path,
@@ -72,7 +73,7 @@ class TestExitCodes:
             doc["epsilon"] = value
             bad = tmp_path / "eps.json"
             bad.write_text(json.dumps(doc))
-            code = run(["check", "--scenario", str(bad), "--out", str(tmp_path)])
+            code = run(["check", "--scenario", str(bad)])
             assert code == 3, value
 
     @pytest.mark.parametrize("edit,named", [
@@ -92,15 +93,21 @@ class TestExitCodes:
         (lambda d: d["coupling"].insert(0, {"type": "abs_state_diff",
                                             **d["coupling"][0]["abs_state_diff"]}),
          "coupling row 0: empty right-hand side"),
+        (lambda d: d["coupling"][0]["abs_state_diff"].update(agents=[1, 1]),
+         "coupling row 0: abs_state_diff names agent 1 twice"),
+        (lambda d: d["coupling"].insert(0, {"Ex": {"0": [[1, 0, 0, 0]],
+                                                   "00": [[0, 1, 0, 0]]},
+                                            "b": [1.0]}),
+         "coupling row 0: Ex names agent 0 twice"),
     ], ids=["agents", "coupling", "terminal", "input_poly", "Eu", "select",
-            "agent_names", "type_spelling"])
+            "agent_names", "type_spelling", "agent_twice", "block_key_twice"])
     def test_malformed_structure_scenario_error(self, tmp_path, formation3_path,
                                                 capsys, edit, named):
         doc = json.loads(open(formation3_path).read())
         edit(doc)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
-        code = run(["check", "--scenario", str(bad), "--out", str(tmp_path)])
+        code = run(["check", "--scenario", str(bad)])
         err = capsys.readouterr().err
         assert code == 3 and "error: scenario:" in err and named in err, err
 
@@ -117,7 +124,8 @@ class TestExitCodes:
         doc["agents"][0]["input_poly"] = {"box": box}
         bad = tmp_path / "box.json"
         bad.write_text(json.dumps(doc))  # JSON literals NaN / Infinity
-        code = run([cmd, "--scenario", str(bad), "--out", str(tmp_path)])
+        out = ["--out", str(tmp_path)] if cmd == "simulate" else []
+        code = run([cmd, "--scenario", str(bad)] + out)
         err = capsys.readouterr().err
         assert code == 3 and "agent agent1: input_poly.box" in err, err
 
@@ -129,7 +137,7 @@ class TestExitCodes:
         doc[key] = value
         bad = tmp_path / "frac.json"
         bad.write_text(json.dumps(doc))
-        code = run(["check", "--scenario", str(bad), "--out", str(tmp_path)])
+        code = run(["check", "--scenario", str(bad)])
         err = capsys.readouterr().err
         # the category prefix appears once, from the command line
         assert code == 3, err
@@ -259,26 +267,28 @@ class TestSweep:
 
 
 class TestCheckAndDump:
-    def test_check_passes_on_bundled(self, formation3_path, tmp_path, capsys):
-        code = run(["check", "--scenario", formation3_path,
-                    "--out", str(tmp_path), "--points", "5"])
+    def test_check_passes_on_bundled(self, formation3_path, capsys):
+        code = run(["check", "--scenario", formation3_path, "--points", "5"])
         assert code == 0
         text = capsys.readouterr().out
         assert "check: pass" in text
 
     @pytest.mark.parametrize("points", ["0", "-5"])
-    def test_check_needs_a_point(self, formation3_path, tmp_path, capsys,
-                                 points):
-        code = run(["check", "--scenario", formation3_path,
-                    "--out", str(tmp_path), "--points", points])
+    def test_check_needs_a_point(self, formation3_path, capsys, points):
+        code = run(["check", "--scenario", formation3_path, "--points", points])
         out, err = capsys.readouterr()
         assert code == 2 and "--points" in err, err
         assert "check:" not in out
 
+    def test_check_takes_no_out(self, formation3_path, tmp_path, capsys):
+        code = run(["check", "--scenario", formation3_path,
+                    "--out", str(tmp_path / "x")])
+        assert code == 2 and "--out" in capsys.readouterr().err
+
     def test_check_fails_on_failed_assumptions(self, tmp_path, capsys):
         path = tmp_path / "unstabilizable.json"
         path.write_text(json.dumps(unstabilizable_doc()))
-        code = run(["check", "--scenario", str(path), "--out", str(tmp_path)])
+        code = run(["check", "--scenario", str(path)])
         out, err = capsys.readouterr()
         assert code == 3
         assert "agent 0 stabilizable: FAIL" in out
@@ -363,6 +373,19 @@ class TestParallelAndEntryPoint:
                     "--steps", "2", "--jobs", jobs, "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 2 and "argument --jobs: must be >= 1" in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--iters", "a"), ("--eps", "x"), ("--seeds", "1.5"), ("--iters", ",,"),
+    ], ids=["iters", "eps", "seeds", "no_iters"])
+    def test_sweep_list_is_checked(self, formation3_path, tmp_path, capsys,
+                                   flag, value):
+        # every element parses before any run, and a list is never empty
+        out = tmp_path / "none"
+        code = run(["sweep", "--scenario", formation3_path, "--steps", "2",
+                    f"{flag}={value}", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and f"argument {flag}:" in err, err
         assert not out.exists()
 
     def test_module_entry_point(self, formation3_path, tmp_path):

@@ -338,6 +338,24 @@ class TestRawCouplingRows:
             })
 
 
+    @pytest.mark.parametrize("item, named", [
+        ({"abs_state_diff": {"agents": [1, 1], "select": [[1, 0, 0, 0]],
+                             "bound": [1.0]}}, "abs_state_diff names agent 1"),
+        ({"abs_state_diff": {"agents": [True, 1], "select": [[1, 0, 0, 0]],
+                             "bound": [1.0]}}, "abs_state_diff names agent True"),
+        ({"Ex": {"0": [[1, 0, 0, 0]], "00": [[0, 1, 0, 0]]}, "b": [1.0]},
+         "Ex names agent 0"),
+        ({"Eu": {"1": [[1, 0]], "01": [[0, 1]]}, "b": [1.0]}, "Eu names agent 1"),
+    ], ids=["abs_state_diff", "abs_state_diff_bool", "Ex_keys", "Eu_keys"])
+    def test_agent_named_twice_rejected(self, formation3_path, item, named):
+        # keyed by agent, the row would keep one of the two blocks and drop
+        # the other, or turn |x_1 - x_1| <= bound into a box on x_1
+        doc = json.loads(open(formation3_path).read())
+        doc["coupling"].insert(0, item)
+        with pytest.raises(ParseError, match=f"coupling row 0: {named} twice"):
+            Scenario.from_dict(doc)
+
+
 class TestCouplingValidatedAtConstruction:
     # a Scenario built directly checks its coupling rows as a loaded one does:
     # formation3's 12 rows plus one bad row 12 on its 4-state agents
@@ -392,28 +410,48 @@ def frozen_rebinds(s):
             for f in fields(obj)]
 
 
+# every in-place change to a scenario and the error it raises
+in_place_changes = pytest.mark.parametrize("change, error", [
+    (lambda s: setitem(s.coupling.rows[0].Ex[0], 0, 2.0), ValueError),
+    (lambda s: setattr(s.coupling.rows[1], "b", 0.9), FrozenInstanceError),
+    (lambda s: setitem(s.coupling.rows[0].Eu, 2, np.ones(2)), TypeError),
+    (lambda s: setitem(s.agents[0].A, (0, 0), 2.0), ValueError),
+    (lambda s: setitem(s.agents[2].x0, 0, 0.35), ValueError),
+    (lambda s: setitem(s.agents[1].input_poly.c, 0, 0.5), ValueError),
+    (lambda s: setitem(s.agents[0].terminal_poly.C, (0, 0), 0.5), ValueError),
+    (lambda s: setitem(s.stage[1], (0, 0), 2.0), ValueError),
+    (lambda s: s.coupling.rows.append(s.coupling.rows[0]), AttributeError),
+    (lambda s: s.agents.append(s.agents[0]), AttributeError),
+], ids=["row_Ex_entry", "row_b", "row_new_block", "A", "x0", "polytope_c",
+        "terminal_C", "stage", "append_row", "append_agent"])
+
+
+def shifted(path):
+    return shift_to_target(load_scenario(path))
+
+
 class TestImmutable:
     # a scenario cannot change in place, so its stage rows and digest cannot
     # go stale: every change below raises and leaves the content as loaded
-    @pytest.mark.parametrize("change, error", [
-        (lambda s: setitem(s.coupling.rows[0].Ex[0], 0, 2.0), ValueError),
-        (lambda s: setattr(s.coupling.rows[1], "b", 0.9), FrozenInstanceError),
-        (lambda s: setitem(s.coupling.rows[0].Eu, 2, np.ones(2)), TypeError),
-        (lambda s: setitem(s.agents[0].A, (0, 0), 2.0), ValueError),
-        (lambda s: setitem(s.agents[2].x0, 0, 0.35), ValueError),
-        (lambda s: setitem(s.agents[1].input_poly.c, 0, 0.5), ValueError),
-        (lambda s: setitem(s.stage[1], (0, 0), 2.0), ValueError),
-        (lambda s: s.coupling.rows.append(s.coupling.rows[0]), AttributeError),
-        (lambda s: s.agents.append(s.agents[0]), AttributeError),
-    ], ids=["row_Ex_entry", "row_b", "row_new_block", "A", "x0", "polytope_c",
-            "stage", "append_row", "append_agent"])
-    def test_change_in_place_raises(self, formation3_path, change, error):
-        s = load_scenario(formation3_path)
+    @staticmethod
+    def assert_unchanged(build, path, change, error):
+        s = build(path)
         stage = [M.copy() for M in s.stage]
         with pytest.raises(error):
             change(s)
-        assert s.digest() == load_scenario(formation3_path).digest()
+        assert s.digest() == build(path).digest()
         assert all(np.array_equal(M, N) for M, N in zip(s.stage, stage))
+
+    @in_place_changes
+    def test_change_in_place_raises(self, formation3_path, change, error):
+        self.assert_unchanged(load_scenario, formation3_path, change, error)
+
+    @in_place_changes
+    def test_shifted_change_in_place_raises(self, formation3_path, change,
+                                            error):
+        # the shifted agents, polytopes, row blocks and stage are the copies
+        # that `replace` made, read-only like the loaded ones
+        self.assert_unchanged(shifted, formation3_path, change, error)
 
     def test_rebinding_any_field_raises(self, formation3_path):
         s = load_scenario(formation3_path)
@@ -453,12 +491,6 @@ class TestImmutable:
         bad.setflags(write=False)
         with pytest.raises(ParseError, match="non-finite"):
             replace(formation3.agents[0], **{field: bad})
-
-    def test_unchanged_arrays_are_shared(self, formation3):
-        agent = formation3.agents[0]
-        copy = replace(agent, x0=np.zeros(agent.n))
-        assert copy.A is agent.A and copy.input_poly is agent.input_poly
-        assert copy.x0 is not agent.x0
 
 
 class TestIdentity:
