@@ -79,8 +79,8 @@ def build_parser():
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--dist", default="zero",
                     choices=["zero", "uniform", "constant_worst"])
-    sp.add_argument("--dist-bound", type=float, default=0.0,
-                    help="componentwise disturbance magnitude")
+    sp.add_argument("--dist-bound", type=float, default=None,
+                    help="componentwise bound; omitted, the agents' own")
 
     sp = sub.add_parser("sweep", help="grid of closed-loop runs")
     _add_common(sp)
@@ -93,7 +93,7 @@ def build_parser():
     sp.add_argument("--steps", type=int, default=None)
     sp.add_argument("--dist", default="zero",
                     choices=["zero", "uniform", "constant_worst"])
-    sp.add_argument("--dist-bound", type=float, default=0.0)
+    sp.add_argument("--dist-bound", type=float, default=None)
     sp.add_argument("--jobs", type=positive_int, default=1)
 
     sp = sub.add_parser("dump", help="write condensed matrices")
@@ -164,8 +164,9 @@ def _run_one(scenario_path, ell, eps, seed, steps, dist_kind, dist_bound, out,
                       sim_steps=steps)
     eps_used = s.epsilon
     seed_used = s.seed if seed is None else seed
-    n = s.n_total
-    dist = make_disturbance(dist_kind, dist_bound * np.ones(n), seed=seed_used)
+    bound = np.concatenate([a.disturbance_bound for a in s.agents]) \
+        if dist_bound is None else dist_bound * np.ones(s.n_total)
+    dist = make_disturbance(dist_kind, bound, seed=seed_used)
     tr = simulate_closed_loop(s, dist=dist, alpha=alpha)
     stem = _trace_stem(s, tr.ell, eps_used, seed_used)
     os.makedirs(out, exist_ok=True)

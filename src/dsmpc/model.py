@@ -1,11 +1,12 @@
 """Problem data: agent models, coupling constraints, scenario files, and
-standing-assumption checks (stabilizability, origin interiority, weight
+standing-assumption checks (stabilizability, target interiority, weight
 definiteness, terminal decrease) backed by a PBH test and a Riccati solver.
 
 The model types are immutable values; a change is a `dataclasses.replace`,
-which validates again.  Every array a model value holds is a read-only copy
-made and checked by that value's constructor.  Values compare and hash by
-identity; equal content has equal `Scenario.digest()`.
+which validates again.  A value's constructor alone converts and checks its
+fields, each array into a read-only copy of its own; the file parsers only
+map the JSON onto constructor arguments and name where a value came from.
+Values compare and hash by identity; equal content has equal `digest()`.
 """
 
 import hashlib
@@ -72,6 +73,8 @@ def _vector(obj, what, size=None):
 
 def _scalar(obj, what, kind=int):
     try:
+        if isinstance(obj, (bool, str)):  # not numbers, although kind() takes them
+            raise TypeError(type(obj).__name__)
         value = kind(obj)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{what} is not a finite {kind.__name__} ({obj!r})") from exc
@@ -134,47 +137,74 @@ class Polytope:
         return {"C": self.C.tolist(), "c": self.c.tolist()}
 
 
+def _polytope(spec, what):
+    """The polytope of a file's {"box": [lo, hi]} or {"C": .., "c": ..}."""
+    if spec is None:
+        return None
+    if "box" in _object(spec, what):
+        if not isinstance(spec["box"], list) or len(spec["box"]) != 2:
+            raise ParseError(f"{what}.box: expected [lo, hi]")
+        return Polytope.box(*(_vector(v, f"{what}.box") for v in spec["box"]))
+    try:
+        return Polytope(spec.get("C", []), spec.get("c", []))
+    except ValueError as exc:  # ParseError or DimensionError: name the field
+        raise type(exc)(f"{what}: {exc}") from exc
+
+
 @dataclass(frozen=True, eq=False)
 class AgentModel:
-    """One agent's LTI dynamics, quadratic costs, and local constraint sets."""
+    """One agent's LTI dynamics, quadratic costs, and local constraint sets.
+    None is a file's null: P the Riccati solution (0 under a terminal
+    equality), a terminal equality's set the box at the target, any other set
+    the whole space (as zero rows are), x0 and the disturbance bound 0."""
 
     A: np.ndarray
     B: np.ndarray
     Q: np.ndarray
     R: np.ndarray
-    P: np.ndarray
-    input_poly: Polytope
-    state_poly: Polytope
-    terminal_poly: Polytope
+    P: np.ndarray | None
+    input_poly: Polytope | None
+    state_poly: Polytope | None
+    terminal_poly: Polytope | None
     terminal_equality: bool
-    disturbance_bound: np.ndarray
-    x0: np.ndarray
+    disturbance_bound: np.ndarray | None
+    x0: np.ndarray | None
     target: np.ndarray | None = None
     name: str = ""
 
     def __post_init__(self):
-        A = _matrix(self.A, "A")
+        what = f"agent {self.name}"
+        A = _matrix(self.A, f"{what}: A")
         n = A.shape[0]
         if A.shape[1] != n:
-            raise DimensionError(f"agent {self.name}: A must be square")
-        B = _matrix(self.B, "B", rows=n)
+            raise DimensionError(f"{what}: A must be square")
+        B = _matrix(self.B, f"{what}: B", rows=n)
         m = B.shape[1]
-        for poly, dim, what in ((self.input_poly, m, "input polytope"),
-                                (self.state_poly, n, "state polytope"),
-                                (self.terminal_poly, n, "terminal polytope")):
-            if poly.dim != dim:
-                raise DimensionError(f"agent {self.name}: {what} has dimension "
-                                     f"{poly.dim}, expected {dim}")
-        bound = _vector(self.disturbance_bound,
-                        f"agent {self.name}: disturbance bound", size=n)
+        Q = _matrix(self.Q, f"{what}: Q", rows=n, cols=n)
+        R = _matrix(self.R, f"{what}: R", rows=m, cols=m)
+        if self.P is not None:
+            P = _matrix(self.P, f"{what}: P", rows=n, cols=n)
+        else:  # a terminal state pinned to the target needs no terminal cost
+            P = _frozen(np.zeros((n, n)) if self.terminal_equality else
+                        solve_dare(A, B, Q, R)[0])
+        bound = _vector(np.zeros(n) if self.disturbance_bound is None else
+                        self.disturbance_bound, f"{what}: disturbance_bound", n)
+        x0 = _vector(np.zeros(n) if self.x0 is None else self.x0, f"{what}: x0", n)
         if (bound < 0).any():
-            raise ValueError(f"agent {self.name}: disturbance bound must be >= 0")
-        _set(self, A=A, B=B, Q=_matrix(self.Q, "Q", rows=n, cols=n),
-             R=_matrix(self.R, "R", rows=m, cols=m),
-             P=_matrix(self.P, "P", rows=n, cols=n), disturbance_bound=bound,
-             x0=_vector(self.x0, f"agent {self.name}: x0", size=n),
-             target=None if self.target is None else
-             _vector(self.target, f"agent {self.name}: target", size=n))
+            raise ValueError(f"{what}: disturbance bound must be >= 0")
+        target = None if self.target is None else \
+            _vector(self.target, f"{what}: target", n)
+        _set(self, A=A, B=B, Q=Q, R=R, P=P, disturbance_bound=bound, x0=x0,
+             target=target)
+        for key, dim in (("input_poly", m), ("state_poly", n), ("terminal_poly", n)):
+            poly = getattr(self, key)
+            if poly is None and key == "terminal_poly" and self.terminal_equality:
+                xbar = np.zeros(n) if target is None else target
+                _set(self, terminal_poly=Polytope.box(xbar, xbar))
+            elif poly is None or (poly.dim != dim and not poly.rows):
+                _set(self, **{key: Polytope.unconstrained(dim)})
+            elif poly.dim != dim:
+                raise DimensionError(f"{what}: {key} has dimension {poly.dim} != {dim}")
 
     @property
     def n(self):
@@ -187,63 +217,24 @@ class AgentModel:
     @classmethod
     def from_dict(cls, d, name=""):
         name = _object(d, f"agent {name}").get("name", name)
+        what = f"agent {name}"
         for key in ("A", "B", "Q", "R"):
             if key not in d:
-                raise ParseError(f"agent {name}: missing '{key}'")
-        A = _matrix(d["A"], f"agent {name}: A")
-        n = A.shape[0]
-        B = _matrix(d["B"], f"agent {name}: B", rows=n)
-        m = B.shape[1]
-        target = d.get("target")
-        target = None if target is None else _vector(target, f"agent {name}: target", n)
-
-        def poly_of(key, dim):
-            val = d.get(key)
-            if val is None:
-                return Polytope.unconstrained(dim)
-            what = f"agent {name}: {key}"
-            if "box" in _object(val, what):
-                if not isinstance(val["box"], list) or len(val["box"]) != 2:
-                    raise ParseError(f"{what}.box: expected [lo, hi]")
-                return Polytope.box(*(_vector(v, f"{what}.box", size=dim)
-                                      for v in val["box"]))
-            return Polytope(_matrix(val.get("C", []), f"{what}.C", cols=dim),
-                            _vector(val.get("c", []), f"{what}.c"))
-
+                raise ParseError(f"{what}: missing '{key}'")
         term = d.get("terminal")
-        term = {} if term is None else _object(term, f"agent {name}: terminal")
+        term = {} if term is None else _object(term, f"{what}: terminal")
         mode = term.get("mode", "none")
-        terminal_equality = mode == "equality"
-        if mode == "none":
-            terminal_poly = Polytope.unconstrained(n)
-        elif terminal_equality:
-            # Pins the terminal state to the target (the origin once shifted).
-            xbar = target if target is not None else np.zeros(n)
-            terminal_poly = Polytope.box(xbar, xbar)
-        elif mode == "polytope":
-            terminal_poly = Polytope(
-                _matrix(term.get("C", []), f"agent {name}: terminal.C", cols=n),
-                _vector(term.get("c", []), f"agent {name}: terminal.c"))
-        else:
-            raise ParseError(f"agent {name}: unknown terminal mode {mode!r}")
-
-        Q = _matrix(d["Q"], f"agent {name}: Q", rows=n, cols=n)
-        R = _matrix(d["R"], f"agent {name}: R", rows=m, cols=m)
-        if d.get("P") is not None:
-            P = _matrix(d["P"], f"agent {name}: P", rows=n, cols=n)
-        elif terminal_equality:
-            # Terminal state pinned to the origin, so no terminal cost is needed.
-            P = np.zeros((n, n))
-        else:
-            P, _ = solve_dare(A, B, Q, R)
-
+        if mode not in ("none", "equality", "polytope"):
+            raise ParseError(f"{what}: unknown terminal mode {mode!r}")
         return cls(
-            A=A, B=B, Q=Q, R=R, P=P, input_poly=poly_of("input_poly", m),
-            state_poly=poly_of("state_poly", n), terminal_poly=terminal_poly,
-            terminal_equality=terminal_equality,
-            disturbance_bound=d.get("disturbance_bound", np.zeros(n)),
-            x0=d.get("x0", np.zeros(n)), target=target, name=name,
-        )
+            A=d["A"], B=d["B"], Q=d["Q"], R=d["R"], P=d.get("P"),
+            **{key: _polytope(d.get(key), f"{what}: {key}")
+               for key in ("input_poly", "state_poly")},
+            terminal_poly=None if mode != "polytope" else
+            _polytope({k: term.get(k, []) for k in "Cc"}, f"{what}: terminal"),
+            terminal_equality=mode == "equality",
+            disturbance_bound=d.get("disturbance_bound"), x0=d.get("x0"),
+            target=d.get("target"), name=name)
 
     def to_dict(self):
         term = {"mode": "equality" if self.terminal_equality else
@@ -329,41 +320,44 @@ class CouplingSpec:
             raise ParseError("'coupling' must be a list")
         rows = []
         for k, item in enumerate(items):
-            _object(item, f"coupling row {k}")
-            if "abs_state_diff" in item:
-                spec = _object(item["abs_state_diff"],
-                               f"coupling row {k}: abs_state_diff")
+            what = f"coupling row {k}"
+            if "abs_state_diff" in _object(item, what):  # |S x_i - S x_j| <= bound:
+                # the raw item whose Ex_i interleaves the rows S_r and -S_r, Ex_j
+                # is their negation, and b repeats each bound twice
+                where = f"{what}: abs_state_diff"
+                spec = _object(item["abs_state_diff"], where)
                 try:
-                    (i, j), sel, bound = spec["agents"], spec["select"], spec["bound"]
+                    (i, j), S, b = spec["agents"], spec["select"], spec["bound"]
                 except KeyError as exc:
-                    raise ParseError(f"coupling row {k}: abs_state_diff is "
-                                     f"missing {exc}") from exc
+                    raise ParseError(f"{where} is missing {exc}") from exc
                 except (TypeError, ValueError) as exc:
-                    raise ParseError(f"coupling row {k}: abs_state_diff needs "
-                                     f"a pair of agents") from exc
-                if i == j:  # a dict keyed {i: s, j: -s} would keep one block
-                    raise ParseError(f"coupling row {k}: abs_state_diff names "
-                                     f"agent {i!r} twice")
-                sel = _matrix(sel, f"coupling row {k}: select")
-                bound = _vector(bound, f"coupling row {k}: bound", sel.shape[0])
-                for r in range(sel.shape[0]):
-                    s = sel[r]
-                    rows.append(CouplingRow({}, {i: s, j: -s}, bound[r]))
-                    rows.append(CouplingRow({}, {i: -s, j: s}, bound[r]))
-                continue
-            b = _vector(item.get("b", []), f"coupling row {k}: b")
+                    raise ParseError(f"{where} needs a pair of agents") from exc
+                S = _matrix(S, f"{what}: select")
+                X = np.stack([S, -S], axis=1).reshape(-1, S.shape[1])
+                blocks = [("Ex", i, X), ("Ex", j, -X)]
+                b = _vector(b, f"{what}: bound", S.shape[0]).repeat(2)
+            else:
+                blocks = [(key, i, v) for key in ("Eu", "Ex") for i, v in
+                          _object(item.get(key) or {}, f"{what}: {key}").items()]
+                b = _vector(item.get("b", []), f"{what}: b")
             if b.size == 0:
-                raise ParseError(f"coupling row {k}: empty right-hand side")
+                raise ParseError(f"{what}: empty right-hand side")
             eu, ex = {}, {}
-            for key, blocks in (("Eu", eu), ("Ex", ex)):
-                what = f"coupling row {k}: {key}"
-                for i, v in _object(item.get(key) or {}, what).items():
-                    if int(i) in blocks:  # keys such as "0" and "00"
-                        raise ParseError(f"{what} names agent {int(i)} twice")
-                    blocks[int(i)] = _matrix(v, f"{what}[{i}]", rows=b.size)
-            rows += [CouplingRow({i: v[r] for i, v in eu.items()},
-                                 {i: v[r] for i, v in ex.items()}, b[r])
-                     for r in range(b.size)]
+            for key, i, v in blocks:
+                out = eu if key == "Eu" else ex
+                i = _scalar(int(i) if isinstance(i, str) and i.isdecimal() else i,
+                            f"{what}: agent key")
+                if i in out:  # keys such as "0" and "00"
+                    raise ParseError(f"{what}: {key} names agent {i} twice")
+                if not isinstance(v, (list, np.ndarray)) or len(v) != b.size:
+                    raise DimensionError(f"{what}: {key}[{i}]: expected {b.size} rows")
+                out[i] = v
+            try:
+                rows += [CouplingRow({i: v[r] for i, v in eu.items()},
+                                     {i: v[r] for i, v in ex.items()}, b[r])
+                         for r in range(b.size)]
+            except (TypeError, ValueError) as exc:  # an entry is not a number
+                raise ParseError(f"{what}: {exc}") from exc
         return cls(rows)
 
     def to_dict(self):
@@ -390,6 +384,9 @@ class Scenario:
     stage: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
+        _set(self, epsilon=_scalar(self.epsilon, "epsilon", float),
+             **{key: _scalar(getattr(self, key), key)
+                for key in ("horizon", "iterations", "sim_steps", "seed")})
         if not self.agents:
             raise ValueError("scenario has no agents")
         for key in ("horizon", "iterations", "sim_steps"):
@@ -432,8 +429,7 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, d):
-        if not isinstance(d, dict):
-            raise ParseError("expected a JSON object")
+        _object(d, "scenario")
         try:
             agents, horizon, epsilon = d["agents"], d["horizon"], d["epsilon"]
         except KeyError as exc:
@@ -443,11 +439,8 @@ class Scenario:
         return cls(
             agents=[AgentModel.from_dict(a, f"agent{i}") for i, a in enumerate(agents)],
             coupling=CouplingSpec.from_list(d.get("coupling", [])),
-            horizon=_scalar(horizon, "horizon"),
-            epsilon=_scalar(epsilon, "epsilon", float),
-            iterations=_scalar(d.get("iterations", 1), "iterations"),
-            sim_steps=_scalar(d.get("sim_steps", 50), "sim_steps"),
-            seed=_scalar(d.get("seed", 0), "seed"), name=str(d.get("name", "scenario")))
+            horizon=horizon, epsilon=epsilon, name=str(d.get("name", "scenario")),
+            **{key: d[key] for key in ("iterations", "sim_steps", "seed") if key in d})
 
     def to_dict(self):
         return {**{key: getattr(self, key) for key in (
@@ -536,8 +529,9 @@ def _min_eig(M):
 def validate_assumptions(scenario):
     """Check the standing assumptions agent by agent.
 
-    Items per agent: 'stabilizable', 'origin_interior', 'weights_pd',
-    'terminal_decrease'.  Failures are reported, never raised.
+    Items per agent: 'stabilizable', 'origin_interior' (the target's (x̄, ū),
+    the shifted origin, strictly inside the state and input sets),
+    'weights_pd', 'terminal_decrease'.  Failures are reported, never raised.
     """
     report = ValidationReport()
     for idx, a in enumerate(scenario.agents):
@@ -548,13 +542,14 @@ def validate_assumptions(scenario):
             P_ric, K = None, None
             report.checks.append(AssumptionCheck(idx, "stabilizable", False, str(exc)))
 
-        interior = (
-            (a.input_poly.rows == 0 or np.all(a.input_poly.c > 0))
-            and (a.state_poly.rows == 0 or np.all(a.state_poly.c > 0))
-        )
-        report.checks.append(AssumptionCheck(
-            idx, "origin_interior", bool(interior),
-            "" if interior else "origin not strictly inside the local sets"))
+        try:  # at the target: the origin of the shifted coordinates
+            xbar, ubar = _equilibrium(a)
+            interior = bool(np.all(a.input_poly.C @ ubar < a.input_poly.c)
+                            and np.all(a.state_poly.C @ xbar < a.state_poly.c))
+            detail = "" if interior else "target not strictly inside the local sets"
+        except NotEquilibrium as exc:
+            interior, detail = False, str(exc)
+        report.checks.append(AssumptionCheck(idx, "origin_interior", interior, detail))
 
         q_min, r_min = _min_eig(a.Q), _min_eig(a.R)
         pd = q_min > 1e-12 and r_min > 1e-12
@@ -584,6 +579,21 @@ def validate_assumptions(scenario):
     return report
 
 
+def _equilibrium(a):
+    """(x̄, ū): agent a's target (0 without one) and an input that holds it
+    there.  Raises NotEquilibrium if no input does."""
+    xbar = a.target if a.target is not None else np.zeros(a.n)
+    rhs = xbar - a.A @ xbar
+    ubar = np.zeros(a.m)
+    if np.abs(rhs).max(initial=0.0) > EQUILIBRIUM_TOL:
+        ubar, *_ = np.linalg.lstsq(a.B, rhs, rcond=None)
+        resid = float(np.max(np.abs(a.B @ ubar - rhs)))
+        if resid > EQUILIBRIUM_TOL:
+            raise NotEquilibrium(f"agent {a.name}: target is not an equilibrium "
+                                 f"(residual {resid:.3e})")
+    return xbar, ubar
+
+
 def shift_to_target(scenario):
     """Return an equivalent scenario in coordinates where the targets sit at
     the origin.  Constraint offsets and coupling bounds are adjusted; the
@@ -591,27 +601,12 @@ def shift_to_target(scenario):
     every model value, the result holds its own checked copy of each array,
     the matrices it did not change included.
     """
-    xbars, ubars, agents = [], [], []
-    for a in scenario.agents:
-        xbar = a.target if a.target is not None else np.zeros(a.n)
-        rhs = xbar - a.A @ xbar
-        ubar = np.zeros(a.m)
-        if np.abs(rhs).max(initial=0.0) > EQUILIBRIUM_TOL:
-            ubar, *_ = np.linalg.lstsq(a.B, rhs, rcond=None)
-            resid = float(np.max(np.abs(a.B @ ubar - rhs)))
-            if resid > EQUILIBRIUM_TOL:
-                raise NotEquilibrium(
-                    f"agent {a.name}: target is not an equilibrium "
-                    f"(residual {resid:.3e})"
-                )
-        xbars.append(xbar)
-        ubars.append(ubar)
-        agents.append(replace(
-            a, input_poly=a.input_poly.shifted(ubar),
-            state_poly=a.state_poly.shifted(xbar),
-            terminal_poly=a.terminal_poly.shifted(xbar), x0=a.x0 - xbar,
-            target=None))
-
+    xbars, ubars = zip(*map(_equilibrium, scenario.agents))
+    agents = [replace(a, input_poly=a.input_poly.shifted(ubar),
+                      state_poly=a.state_poly.shifted(xbar),
+                      terminal_poly=a.terminal_poly.shifted(xbar),
+                      x0=a.x0 - xbar, target=None)
+              for a, xbar, ubar in zip(scenario.agents, xbars, ubars)]
     xbar, ubar = np.concatenate(xbars), np.concatenate(ubars)
     Eu, Ex, _ = scenario.stage
     rows = [CouplingRow(row.Eu, row.Ex, row.b - float(offset))

@@ -88,19 +88,23 @@ class TestExitCodes:
         (lambda d: d["coupling"][0]["abs_state_diff"].pop("select"),
          "coupling row 0: abs_state_diff is missing 'select'"),
         (lambda d: d["coupling"][0]["abs_state_diff"].update(agents=["a", "b"]),
-         "coupling row 0: agent index 'a' out of range"),
+         "coupling row 0: agent key is not a finite int ('a')"),
+        (lambda d: d["coupling"][0]["abs_state_diff"].update(agents=[[1], [2]]),
+         "coupling row 0: agent key is not a finite int ([1])"),
         # no spelling but the "abs_state_diff" key is read
         (lambda d: d["coupling"].insert(0, {"type": "abs_state_diff",
                                             **d["coupling"][0]["abs_state_diff"]}),
          "coupling row 0: empty right-hand side"),
+        # an abs_state_diff item is read as the raw item it stands for
         (lambda d: d["coupling"][0]["abs_state_diff"].update(agents=[1, 1]),
-         "coupling row 0: abs_state_diff names agent 1 twice"),
+         "coupling row 0: Ex names agent 1 twice"),
         (lambda d: d["coupling"].insert(0, {"Ex": {"0": [[1, 0, 0, 0]],
                                                    "00": [[0, 1, 0, 0]]},
                                             "b": [1.0]}),
          "coupling row 0: Ex names agent 0 twice"),
     ], ids=["agents", "coupling", "terminal", "input_poly", "Eu", "select",
-            "agent_names", "type_spelling", "agent_twice", "block_key_twice"])
+            "agent_names", "agent_lists", "type_spelling", "agent_twice",
+            "block_key_twice"])
     def test_malformed_structure_scenario_error(self, tmp_path, formation3_path,
                                                 capsys, edit, named):
         doc = json.loads(open(formation3_path).read())
@@ -151,6 +155,27 @@ class TestExitCodes:
                         "--out", str(tmp_path)])
             err = capsys.readouterr().err
             assert code == 3 and "disturbance bound must be finite" in err, err
+
+    def test_omitted_dist_bound_is_the_scenarios(self, tmp_path,
+                                                 formation3_path, monkeypatch):
+        # formation3 declares 0.05 on every state; without --dist-bound a
+        # uniform disturbance uses it, in simulate and in sweep alike
+        traces, simulate = [], cli.simulate_closed_loop
+        def recording(*args, **kwargs):
+            traces.append(simulate(*args, **kwargs))
+            return traces[-1]
+        monkeypatch.setattr(cli, "simulate_closed_loop", recording)
+        bodies = []
+        for cmd, dist in (("simulate", "zero"), ("simulate", "uniform"),
+                          ("sweep", "uniform")):
+            out = tmp_path / f"{cmd}_{dist}"
+            assert run([cmd, "--scenario", formation3_path, "--iters", "1",
+                        "--steps", "6", "--dist", dist, "--out", str(out)]) == 0
+            [csv] = [f for f in os.listdir(out) if f.endswith(".csv")]
+            bodies.append((out / csv).read_text())
+        assert bodies[0] != bodies[1] == bodies[2]
+        d = np.abs(traces[1].disturbances)
+        assert 0.0 < d.max() <= 0.05
 
     @pytest.mark.parametrize("argv,field", [
         (["solve", "--iters", "0"], "iterations"),

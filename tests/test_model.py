@@ -16,7 +16,8 @@ from dsmpc.model import (AgentModel, CouplingRow, CouplingSpec, Polytope,
 from dsmpc.plant import simulate_closed_loop
 from dsmpc.scenarios import load
 
-from conftest import make_pair_scenario, terminal_box_doc, unstabilizable_doc
+from conftest import (formation3_doc, make_pair_scenario, terminal_box_doc,
+                      unstabilizable_doc)
 from oracles import condensed_by_rollout, controllable, golden_ratio
 
 
@@ -131,7 +132,7 @@ class TestNonFinite:
         ("epsilon", float("nan")), ("epsilon", float("inf")),
         ("horizon", float("inf")), ("iterations", float("inf")),
         ("sim_steps", float("inf")), ("seed", float("inf")),
-        ("seed", float("nan")),
+        ("seed", float("nan")), ("horizon", True), ("horizon", "10"),
     ])
     def test_non_finite_header_value_rejected(self, tmp_path, formation3_path,
                                               key, value):
@@ -142,7 +143,8 @@ class TestNonFinite:
         with pytest.raises(ValueError, match=key):
             load_scenario(path)
 
-    @pytest.mark.parametrize("value", [None, [0.1], {"eps": 0.1}, "small"])
+    @pytest.mark.parametrize("value", [None, [0.1], {"eps": 0.1}, "small",
+                                       "0.1", True])
     def test_non_numeric_epsilon_is_parse_error(self, tmp_path,
                                                 formation3_path, value):
         doc = json.loads(open(formation3_path).read())
@@ -151,6 +153,14 @@ class TestNonFinite:
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError, match="epsilon"):
             load_scenario(path)
+
+    @pytest.mark.parametrize("key,value", [("horizon", 2.5), ("horizon", "3"),
+                                           ("seed", True), ("epsilon", "0.1")])
+    def test_direct_construction_checks_header(self, formation3, key, value):
+        # the constructor checks the header, so a changed copy is checked
+        # like a loaded file
+        with pytest.raises(ParseError, match=key):
+            replace(formation3, **{key: value})
 
 
 class TestValidateAssumptions:
@@ -200,6 +210,65 @@ class TestValidateAssumptions:
         })
         report = validate_assumptions(s)
         assert not report.by_item(0, "origin_interior").passed
+
+
+class TestInteriorAtTarget:
+    """The regularity conditions put the target equilibrium, the origin of
+    the shifted coordinates, strictly inside the local sets; formation3's
+    targets lie 2 to 4 away from the origin."""
+
+    @staticmethod
+    def report(box):
+        # formation3 without coupling, each agent's state set box(target)
+        doc = formation3_doc()
+        for agent in doc["agents"]:
+            agent["state_poly"] = {"box": box(np.array(agent["target"]))}
+        doc["coupling"] = []
+        return validate_assumptions(Scenario.from_dict(doc))
+
+    def test_box_around_target_passes(self):
+        assert self.report(lambda t: [(t - 1).tolist(), (t + 1).tolist()]).passed
+
+    def test_box_around_origin_fails(self):
+        report = self.report(lambda t: [[-1.0] * 4, [1.0] * 4])
+        failed = [(c.agent, c.item) for c in report.checks if not c.passed]
+        assert failed == [(i, "origin_interior") for i in range(3)]
+        assert report.by_item(0, "origin_interior").detail == \
+            "target not strictly inside the local sets"
+
+    def test_target_off_equilibrium_reported_not_raised(self):
+        doc = formation3_doc(target=[3.6, 0.5, 2.0, 0.0])  # moving at 0.5
+        report = validate_assumptions(Scenario.from_dict(doc))
+        failed = [(c.agent, c.item) for c in report.checks if not c.passed]
+        assert failed == [(0, "origin_interior")]
+        assert "agent agent1: target is not an equilibrium" in \
+            report.by_item(0, "origin_interior").detail
+
+
+class TestNoneIsTheFilesNull:
+    """An agent built with None gets what a file's null gives."""
+
+    def test_P_none_is_the_riccati_solution(self, formation3):
+        a = formation3.agents[0]
+        free = replace(a, P=None, terminal_equality=False, terminal_poly=None)
+        assert np.array_equal(free.P, solve_dare(a.A, a.B, a.Q, a.R)[0])
+        assert free.terminal_poly.rows == 0 and free.terminal_poly.dim == 4
+
+    def test_terminal_equality_pins_the_target(self, formation3):
+        a = formation3.agents[0]
+        pinned = replace(a, P=None, terminal_poly=None)
+        box = Polytope.box(a.target, a.target)
+        assert np.array_equal(pinned.P, np.zeros((4, 4)))
+        assert np.array_equal(pinned.terminal_poly.C, box.C)
+        assert np.array_equal(pinned.terminal_poly.c, box.c)
+
+    def test_none_and_zero_rows_are_the_whole_space(self, formation3):
+        a = replace(formation3.agents[0], input_poly=Polytope([], []),
+                    state_poly=None, x0=None, disturbance_bound=None)
+        for poly, dim in ((a.input_poly, 2), (a.state_poly, 4)):
+            assert (poly.rows, poly.dim) == (0, dim)
+        assert not a.x0.any() and not a.disturbance_bound.any()
+        assert a.x0.shape == a.disturbance_bound.shape == (4,)
 
 
 class TestTerminalPolytope:
@@ -339,21 +408,54 @@ class TestRawCouplingRows:
 
 
     @pytest.mark.parametrize("item, named", [
+        # an abs_state_diff item is read as the raw item it stands for
         ({"abs_state_diff": {"agents": [1, 1], "select": [[1, 0, 0, 0]],
-                             "bound": [1.0]}}, "abs_state_diff names agent 1"),
+                             "bound": [1.0]}}, "Ex names agent 1 twice"),
+        # True is no agent key, although Python takes it for 1
         ({"abs_state_diff": {"agents": [True, 1], "select": [[1, 0, 0, 0]],
-                             "bound": [1.0]}}, "abs_state_diff names agent True"),
+                             "bound": [1.0]}},
+         r"agent key is not a finite int \(True\)"),
         ({"Ex": {"0": [[1, 0, 0, 0]], "00": [[0, 1, 0, 0]]}, "b": [1.0]},
-         "Ex names agent 0"),
-        ({"Eu": {"1": [[1, 0]], "01": [[0, 1]]}, "b": [1.0]}, "Eu names agent 1"),
+         "Ex names agent 0 twice"),
+        ({"Eu": {"1": [[1, 0]], "01": [[0, 1]]}, "b": [1.0]},
+         "Eu names agent 1 twice"),
     ], ids=["abs_state_diff", "abs_state_diff_bool", "Ex_keys", "Eu_keys"])
     def test_agent_named_twice_rejected(self, formation3_path, item, named):
         # keyed by agent, the row would keep one of the two blocks and drop
         # the other, or turn |x_1 - x_1| <= bound into a box on x_1
         doc = json.loads(open(formation3_path).read())
         doc["coupling"].insert(0, item)
-        with pytest.raises(ParseError, match=f"coupling row 0: {named} twice"):
+        with pytest.raises(ParseError, match=f"coupling row 0: {named}"):
             Scenario.from_dict(doc)
+
+    @pytest.mark.parametrize("item, key", [
+        ({"Ex": {"a": [[1, 0, 0, 0]]}, "b": [1.0]}, "'a'"),
+        ({"Eu": {"1.5": [[1, 0]]}, "b": [1.0]}, "'1.5'"),
+        ({"abs_state_diff": {"agents": [[1], [2]], "select": [[1, 0, 0, 0]],
+                             "bound": [1.0]}}, r"\[1\]"),
+        ({"abs_state_diff": {"agents": [0.5, 2], "select": [[1, 0, 0, 0]],
+                             "bound": [1.0]}}, "0.5"),
+    ], ids=["Ex_letter", "Eu_fraction", "abs_lists", "abs_fraction"])
+    def test_agent_key_not_an_integer(self, formation3_path, item, key):
+        # one key parser for both item forms names the row and the key
+        doc = json.loads(open(formation3_path).read())
+        doc["coupling"].insert(0, item)
+        with pytest.raises(ParseError, match=r"coupling row 0: agent key is not "
+                           rf"(a finite int|an integer) \({key}\)"):
+            Scenario.from_dict(doc)
+
+    def test_abs_state_diff_is_its_raw_item(self, formation3):
+        # the shorthand and the raw item it stands for give the same rows
+        raw = [{"Ex": {"0": [[1, 0, 0, 0], [-1, 0, 0, 0], [0, 0, 1, 0], [0, 0, -1, 0]],
+                       "1": [[-1, 0, 0, 0], [1, 0, 0, 0], [0, 0, -1, 0], [0, 0, 1, 0]]},
+                "b": [1.0, 1.0, 1.0, 1.0]}]
+        short = [{"abs_state_diff": {"agents": [0, 1],
+                                     "select": [[1, 0, 0, 0], [0, 0, 1, 0]],
+                                     "bound": [1.0, 1.0]}}]
+        stages = [Scenario(agents=formation3.agents, coupling=CouplingSpec.from_list(c),
+                           horizon=3, epsilon=1.0).stage for c in (raw, short)]
+        assert all(np.array_equal(M, N) for M, N in zip(*stages))
+        assert np.array_equal(stages[0][1][:4], formation3.stage[1][:4])
 
 
 class TestCouplingValidatedAtConstruction:
@@ -399,7 +501,9 @@ class TestBoxBounds:
     def test_box_of_wrong_length_names_the_field(self, formation3_path):
         doc = json.loads(open(formation3_path).read())
         doc["agents"][0]["state_poly"] = {"box": [[-1.0], [1.0]]}  # 4 states
-        with pytest.raises(DimensionError, match=r"agent1: state_poly\.box"):
+        # the agent's constructor checks the set's dimension
+        with pytest.raises(DimensionError,
+                           match=r"agent agent1: state_poly has dimension 1"):
             Scenario.from_dict(doc)
 
 
