@@ -98,7 +98,7 @@ def _condense_group(models, index, N, Eu, Ex):
     # Bhat' Hhat and Ahat' Hhat for Hhat = blkdiag(Q, ..., Q, P), one stage
     # block at a time; H, G and W are then (X' Hhat) Y.
     Qs = np.concatenate([np.broadcast_to(stack("Q")[:, None], (g, N, n, n)),
-                         stack("P")[:, None]], axis=1)
+                         stack("terminal_cost")[:, None]], axis=1)
     BtQ, AtQ = ((X.transpose(0, 1, 3, 2) @ Qs).transpose(0, 2, 1, 3)
                 .reshape(g, X.shape[-1], (N + 1) * n) for X in (Bs, Ax))
     H = BtQ @ Bhat + _block_diagonal(stack("R"), N)
@@ -108,7 +108,7 @@ def _condense_group(models, index, N, Eu, Ex):
     W = 0.5 * (W + W.transpose(0, 2, 1))
 
     Cu, Cx = stack("input_poly.C"), stack("state_poly.C")
-    CN = stack("terminal_poly.C")
+    CN = stack("terminal_set.C")
 
     def state_rows(X):  # [I_N (x) Cx, 0; 0, CN] applied to stage maps X
         return np.concatenate([(Cx[:, None] @ X[:, :N]).reshape(g, -1, X.shape[-1]),
@@ -118,7 +118,7 @@ def _condense_group(models, index, N, Eu, Ex):
     D = np.concatenate([np.zeros((g, N * Cu.shape[1], n)), state_rows(Ax)], axis=1)
     c = np.concatenate([np.tile(stack("input_poly.c"), N),
                         np.tile(stack("state_poly.c"), N),
-                        stack("terminal_poly.c")], axis=1)
+                        stack("terminal_set.c")], axis=1)
 
     # Coupling rows of predicted stages 1..N: Ex x_k + Eu u_(k-1).
     p = Eu.shape[1]
@@ -277,7 +277,7 @@ def condense_scenario(scenario):
     shapes = {}
     for i, a in enumerate(agents):
         shapes.setdefault((a.n, a.m, a.input_poly.rows, a.state_poly.rows,
-                           a.terminal_poly.rows), []).append(i)
+                           a.terminal_set.rows), []).append(i)
     condensed = []
     for (n, m, *_), idx in shapes.items():
         Eu_g = Eu[:, u_off[idx][:, None] + np.arange(m)].transpose(1, 0, 2)
@@ -315,7 +315,7 @@ def rollout_cost(scenario, u, x):
         for k in range(N):
             total += 0.5 * (state @ a.Q @ state + ui[k] @ a.R @ ui[k])
             state = a.A @ state + a.B @ ui[k]
-        total += 0.5 * state @ a.P @ state
+        total += 0.5 * state @ a.terminal_cost @ state
     return float(total)
 
 

@@ -6,6 +6,8 @@ The model types are immutable values; a change is a `dataclasses.replace`,
 which validates again.  A value's constructor alone converts and checks its
 fields, each array into a read-only copy of its own; the file parsers only
 map the JSON onto constructor arguments and name where a value came from.
+What a value works out from its fields (`Scenario.stage`, an agent's
+`terminal_cost` and `terminal_set`) is derived again by every `replace`.
 Values compare and hash by identity; equal content has equal `digest()`.
 """
 
@@ -154,9 +156,11 @@ def _polytope(spec, what):
 @dataclass(frozen=True, eq=False)
 class AgentModel:
     """One agent's LTI dynamics, quadratic costs, and local constraint sets.
-    None is a file's null: P the Riccati solution (0 under a terminal
-    equality), a terminal equality's set the box at the target, any other set
-    the whole space (as zero rows are), x0 and the disturbance bound 0."""
+    None is a file's null: an input or state set the whole space (as zero
+    rows are), x0 and the disturbance bound 0.  P and terminal_poly stay as
+    given; the controller uses `terminal_cost` (P, else the Riccati solution,
+    0 under a terminal equality) and `terminal_set` (terminal_poly, else a
+    terminal equality's box at the target, else the whole space)."""
 
     A: np.ndarray
     B: np.ndarray
@@ -171,6 +175,8 @@ class AgentModel:
     x0: np.ndarray | None
     target: np.ndarray | None = None
     name: str = ""
+    terminal_cost: np.ndarray = field(init=False, repr=False)
+    terminal_set: Polytope = field(init=False, repr=False)
 
     def __post_init__(self):
         what = f"agent {self.name}"
@@ -182,11 +188,7 @@ class AgentModel:
         m = B.shape[1]
         Q = _matrix(self.Q, f"{what}: Q", rows=n, cols=n)
         R = _matrix(self.R, f"{what}: R", rows=m, cols=m)
-        if self.P is not None:
-            P = _matrix(self.P, f"{what}: P", rows=n, cols=n)
-        else:  # a terminal state pinned to the target needs no terminal cost
-            P = _frozen(np.zeros((n, n)) if self.terminal_equality else
-                        solve_dare(A, B, Q, R)[0])
+        P = None if self.P is None else _matrix(self.P, f"{what}: P", rows=n, cols=n)
         bound = _vector(np.zeros(n) if self.disturbance_bound is None else
                         self.disturbance_bound, f"{what}: disturbance_bound", n)
         x0 = _vector(np.zeros(n) if self.x0 is None else self.x0, f"{what}: x0", n)
@@ -195,16 +197,18 @@ class AgentModel:
         target = None if self.target is None else \
             _vector(self.target, f"{what}: target", n)
         _set(self, A=A, B=B, Q=Q, R=R, P=P, disturbance_bound=bound, x0=x0,
-             target=target)
+             target=target, terminal_cost=_frozen(  # pinned: no terminal cost
+                 P if P is not None else np.zeros((n, n)) if self.terminal_equality
+                 else solve_dare(A, B, Q, R)[0]))
         for key, dim in (("input_poly", m), ("state_poly", n), ("terminal_poly", n)):
             poly = getattr(self, key)
             if poly is None and key == "terminal_poly" and self.terminal_equality:
-                xbar = np.zeros(n) if target is None else target
-                _set(self, terminal_poly=Polytope.box(xbar, xbar))
+                poly = Polytope.box(*2 * [np.zeros(n) if target is None else target])
             elif poly is None or (poly.dim != dim and not poly.rows):
-                _set(self, **{key: Polytope.unconstrained(dim)})
+                poly = Polytope.unconstrained(dim)
             elif poly.dim != dim:
                 raise DimensionError(f"{what}: {key} has dimension {poly.dim} != {dim}")
+            _set(self, **{"terminal_set" if key == "terminal_poly" else key: poly})
 
     @property
     def n(self):
@@ -238,12 +242,13 @@ class AgentModel:
 
     def to_dict(self):
         term = {"mode": "equality" if self.terminal_equality else
-                "polytope" if self.terminal_poly.rows else "none"}
+                "polytope" if self.terminal_set.rows else "none"}
         if term["mode"] == "polytope":
-            term.update(self.terminal_poly.to_dict())
+            term.update(self.terminal_set.to_dict())
         return {
             "name": self.name,
-            **{key: getattr(self, key).tolist() for key in "ABQRP"},
+            **{key: getattr(self, key).tolist() for key in "ABQR"},
+            "P": self.terminal_cost.tolist(),
             "input_poly": self.input_poly.to_dict(),
             "state_poly": self.state_poly.to_dict(),
             "terminal": term,
@@ -423,7 +428,7 @@ class Scenario:
         doc = self.to_dict()  # + terminal equality rows: the set-up reads them
         for a, agent in zip(self.agents, doc["agents"]):
             if a.terminal_equality:
-                agent["terminal"].update(a.terminal_poly.to_dict())
+                agent["terminal"].update(a.terminal_set.to_dict())
         blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -536,10 +541,10 @@ def validate_assumptions(scenario):
     report = ValidationReport()
     for idx, a in enumerate(scenario.agents):
         try:
-            P_ric, K = solve_dare(a.A, a.B, a.Q, a.R)
+            _, K = solve_dare(a.A, a.B, a.Q, a.R)
             report.checks.append(AssumptionCheck(idx, "stabilizable", True))
         except (NoConvergence, np.linalg.LinAlgError) as exc:
-            P_ric, K = None, None
+            K = None
             report.checks.append(AssumptionCheck(idx, "stabilizable", False, str(exc)))
 
         try:  # at the target: the origin of the shifted coordinates
@@ -561,14 +566,13 @@ def validate_assumptions(scenario):
                 idx, "terminal_decrease", True,
                 "terminal equality constraint; P = 0 is valid"))
         elif K is not None:
-            P = a.P if _min_eig(a.P) > 0 else P_ric
-            Acl = a.A - a.B @ K
+            Acl, P = a.A - a.B @ K, a.terminal_cost
             resid = Acl.T @ P @ Acl - P + a.Q + K.T @ a.R @ K
             top = float(np.linalg.eigvalsh(0.5 * (resid + resid.T)).max())
             report.checks.append(AssumptionCheck(
                 idx, "terminal_decrease", top <= TERMINAL_TOL,
                 f"max eig of decrease residual = {top:.3e}"))
-            if a.terminal_poly.rows:
+            if a.terminal_set.rows:
                 report.warnings.append(
                     f"agent {idx}: invariance of the supplied terminal polytope "
                     "is taken on faith"
@@ -602,9 +606,9 @@ def shift_to_target(scenario):
     the matrices it did not change included.
     """
     xbars, ubars = zip(*map(_equilibrium, scenario.agents))
-    agents = [replace(a, input_poly=a.input_poly.shifted(ubar),
+    agents = [replace(a, P=a.terminal_cost, input_poly=a.input_poly.shifted(ubar),
                       state_poly=a.state_poly.shifted(xbar),
-                      terminal_poly=a.terminal_poly.shifted(xbar),
+                      terminal_poly=a.terminal_set.shifted(xbar),
                       x0=a.x0 - xbar, target=None)
               for a, xbar, ubar in zip(scenario.agents, xbars, ubars)]
     xbar, ubar = np.concatenate(xbars), np.concatenate(ubars)

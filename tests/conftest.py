@@ -38,6 +38,15 @@ def formation3_doc(**agent0):
     return doc
 
 
+def every_agent_doc(**fields):
+    """The bundled formation3 file as a dict, with the given fields of every
+    agent replaced."""
+    doc = formation3_doc()
+    for agent in doc["agents"]:
+        agent.update(fields)
+    return doc
+
+
 def terminal_box_doc():
     """formation3 whose agent 0 ends its horizon in the box terminal polytope
     |x - target| <= 0.5 (P from the Riccati equation)."""

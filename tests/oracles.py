@@ -30,7 +30,7 @@ def sparse_cost(agents, N, u_stacked, x_stacked):
         xs = rollout_states(a.A, a.B, x0, u)
         for k in range(N):
             total += 0.5 * xs[k] @ a.Q @ xs[k] + 0.5 * u[k] @ a.R @ u[k]
-        total += 0.5 * xs[N] @ a.P @ xs[N]
+        total += 0.5 * xs[N] @ a.terminal_cost @ xs[N]
         ou += N * a.m
         ox += a.n
     return total
@@ -88,7 +88,7 @@ def condensed_by_rollout(agent, N, rows, i):
                             for e in np.eye(N * m)])
     Ak, Bk = Ahat.reshape(N + 1, n, n), Bhat.reshape(N + 1, n, N * m)
     Uk = np.eye(N * m).reshape(N, m, N * m)  # u_k = Uk[k] u
-    weights = [agent.Q] * N + [agent.P]
+    weights = [agent.Q] * N + [agent.terminal_cost]
     out = {"Ahat": Ahat, "Bhat": Bhat,
            "H": sum(Uk[k].T @ agent.R @ Uk[k] for k in range(N)),
            "G": np.zeros((N * m, n)), "W": np.zeros((n, n))}
@@ -104,7 +104,7 @@ def condensed_by_rollout(agent, N, rows, i):
         local += [(a @ Bk[k], a @ Ak[k], b) for a, b in
                   zip(agent.state_poly.C, agent.state_poly.c)]
     local += [(a @ Bk[N], a @ Ak[N], b) for a, b in
-              zip(agent.terminal_poly.C, agent.terminal_poly.c)]
+              zip(agent.terminal_set.C, agent.terminal_set.c)]
     out["C"] = np.array([r[0] for r in local]).reshape(-1, N * m)
     out["D"] = np.array([r[1] for r in local]).reshape(-1, n)
     out["c"] = np.array([r[2] for r in local])

@@ -8,7 +8,7 @@ from dsmpc import cli
 from dsmpc.cli import main
 from dsmpc.model import load_scenario
 
-from conftest import unstabilizable_doc
+from conftest import every_agent_doc, unstabilizable_doc
 
 
 def run(argv):
@@ -53,6 +53,17 @@ class TestExitCodes:
         bad.write_text(json.dumps(doc))
         code = run(["check", "--scenario", str(bad)])
         assert code == 3
+
+    def test_zero_terminal_cost_scenario_error(self, tmp_path, capsys):
+        # P = 0 without a terminal set gives no decrease; the check reads the
+        # P that the controller uses
+        path = tmp_path / "zero_P.json"
+        path.write_text(json.dumps(every_agent_doc(
+            terminal={"mode": "none"}, P=np.zeros((4, 4)).tolist())))
+        code = run(["check", "--scenario", str(path)])
+        out = capsys.readouterr().out
+        assert code == 3
+        assert "agent 0 terminal_decrease: FAIL" in out
 
     def test_non_finite_header_scenario_error(self, tmp_path, formation3_path):
         for key, value in (("epsilon", float("nan")), ("epsilon", float("inf")),

@@ -16,8 +16,8 @@ from dsmpc.model import (AgentModel, CouplingRow, CouplingSpec, Polytope,
 from dsmpc.plant import simulate_closed_loop
 from dsmpc.scenarios import load
 
-from conftest import (formation3_doc, make_pair_scenario, terminal_box_doc,
-                      unstabilizable_doc)
+from conftest import (every_agent_doc, formation3_doc, make_pair_scenario,
+                      terminal_box_doc, unstabilizable_doc)
 from oracles import condensed_by_rollout, controllable, golden_ratio
 
 
@@ -251,16 +251,16 @@ class TestNoneIsTheFilesNull:
     def test_P_none_is_the_riccati_solution(self, formation3):
         a = formation3.agents[0]
         free = replace(a, P=None, terminal_equality=False, terminal_poly=None)
-        assert np.array_equal(free.P, solve_dare(a.A, a.B, a.Q, a.R)[0])
-        assert free.terminal_poly.rows == 0 and free.terminal_poly.dim == 4
+        assert np.array_equal(free.terminal_cost, solve_dare(a.A, a.B, a.Q, a.R)[0])
+        assert free.terminal_set.rows == 0 and free.terminal_set.dim == 4
 
     def test_terminal_equality_pins_the_target(self, formation3):
         a = formation3.agents[0]
         pinned = replace(a, P=None, terminal_poly=None)
         box = Polytope.box(a.target, a.target)
-        assert np.array_equal(pinned.P, np.zeros((4, 4)))
-        assert np.array_equal(pinned.terminal_poly.C, box.C)
-        assert np.array_equal(pinned.terminal_poly.c, box.c)
+        assert np.array_equal(pinned.terminal_cost, np.zeros((4, 4)))
+        assert np.array_equal(pinned.terminal_set.C, box.C)
+        assert np.array_equal(pinned.terminal_set.c, box.c)
 
     def test_none_and_zero_rows_are_the_whole_space(self, formation3):
         a = replace(formation3.agents[0], input_poly=Polytope([], []),
@@ -269,6 +269,44 @@ class TestNoneIsTheFilesNull:
             assert (poly.rows, poly.dim) == (0, dim)
         assert not a.x0.any() and not a.disturbance_bound.any()
         assert a.x0.shape == a.disturbance_bound.shape == (4,)
+
+
+class TestReplaceDerivesAgain:
+    """`replace` derives an agent's terminal cost and set again from the new
+    fields, as a fresh load of the same content does; given ones are kept."""
+
+    def test_new_weights_get_their_riccati_P(self):
+        s = Scenario.from_dict(every_agent_doc(terminal={"mode": "none"}))
+        doc = every_agent_doc(terminal={"mode": "none"})
+        for agent in doc["agents"]:
+            agent["Q"] = (10 * np.array(agent["Q"])).tolist()
+        fresh = Scenario.from_dict(doc)
+        t = replace(s, agents=[replace(a, Q=10 * a.Q) for a in s.agents])
+        for a, b in zip(t.agents, fresh.agents):
+            assert a.P is None and b.P is None
+            assert np.array_equal(a.terminal_cost, b.terminal_cost)
+        assert t.digest() == fresh.digest()
+        assert validate_assumptions(t).passed and validate_assumptions(fresh).passed
+
+    def test_moved_target_moves_the_terminal_box(self, formation3):
+        a = formation3.agents[0]
+        target = a.target + np.array([0.3, 0.0, 0.0, 0.0])
+        fresh = Scenario.from_dict(formation3_doc(target=target.tolist())).agents[0]
+        moved = replace(a, target=target)
+        assert moved.terminal_poly is None
+        for key in "Cc":
+            assert np.array_equal(getattr(moved.terminal_set, key),
+                                  getattr(fresh.terminal_set, key))
+
+    @pytest.mark.parametrize("equality", [True, False])
+    def test_given_terminal_data_is_kept(self, formation3, equality):
+        a = formation3.agents[0]
+        P, box = 2.0 * np.eye(4), Polytope.box(a.target - 0.5, a.target + 0.5)
+        given = replace(a, P=P, terminal_poly=box, terminal_equality=equality)
+        for t in (replace(given, Q=10 * a.Q),
+                  replace(given, target=a.target + np.array([0.3, 0.0, 0.0, 0.0]))):
+            assert np.array_equal(t.P, P) and np.array_equal(t.terminal_cost, P)
+            assert t.terminal_poly is box and t.terminal_set is box
 
 
 class TestTerminalPolytope:
@@ -316,6 +354,22 @@ class TestFailedAssumptions:
         assert failed == [(0, "stabilizable"), (0, "terminal_decrease")]
         assert report.by_item(0, "terminal_decrease").detail == \
             "no Riccati solution available"
+
+    @pytest.mark.parametrize("P, passed, top", [
+        (np.zeros((4, 4)), False, "2.726e+00"), (0.5 * np.eye(4), False, "3.182e+00"),
+        (None, True, None)], ids=["zero", "half", "null"])
+    def test_terminal_decrease_at_the_P_in_use(self, P, passed, top):
+        # the decrease is checked at the terminal cost the controller uses,
+        # a given P that is not positive definite included
+        s = Scenario.from_dict(every_agent_doc(
+            terminal={"mode": "none"}, P=None if P is None else P.tolist()))
+        report = validate_assumptions(s)
+        assert report.passed == passed
+        for i in range(3):
+            check = report.by_item(i, "terminal_decrease")
+            assert check.passed == passed
+            if top is not None:
+                assert check.detail == f"max eig of decrease residual = {top}"
 
 
 class TestShiftToTarget:
@@ -522,7 +576,7 @@ in_place_changes = pytest.mark.parametrize("change, error", [
     (lambda s: setitem(s.agents[0].A, (0, 0), 2.0), ValueError),
     (lambda s: setitem(s.agents[2].x0, 0, 0.35), ValueError),
     (lambda s: setitem(s.agents[1].input_poly.c, 0, 0.5), ValueError),
-    (lambda s: setitem(s.agents[0].terminal_poly.C, (0, 0), 0.5), ValueError),
+    (lambda s: setitem(s.agents[0].terminal_set.C, (0, 0), 0.5), ValueError),
     (lambda s: setitem(s.stage[1], (0, 0), 2.0), ValueError),
     (lambda s: s.coupling.rows.append(s.coupling.rows[0]), AttributeError),
     (lambda s: s.agents.append(s.agents[0]), AttributeError),

@@ -14,7 +14,7 @@ from dsmpc.plant import (make_disturbance, plant_step, prepared,
                          simulate_closed_loop)
 from dsmpc.scenarios import load
 
-from conftest import make_pair_scenario
+from conftest import formation3_doc, make_pair_scenario
 
 
 class TestPlantStep:
@@ -363,8 +363,8 @@ class TestPreparedSetup:
         lambda s: with_agent(s, 2, x0=with_entry(s.agents[2].x0, 0, 0.35)),
         lambda s: with_agent(s, 0, target=with_entry(s.agents[0].target, 0, 3.7)),
         lambda s: with_agent(s, 0, terminal_poly=replace(
-            s.agents[0].terminal_poly,
-            c=with_entry(s.agents[0].terminal_poly.c, 0, 3.7))),
+            s.agents[0].terminal_set,
+            c=with_entry(s.agents[0].terminal_set.c, 0, 3.7))),
     ], ids=["A", "input_bound", "coupling_b", "x0", "target", "terminal"])
     def test_in_place_change_gets_its_own_setup(self, monkeypatch, change):
         # a scenario cannot change in place, so each change is a changed copy
@@ -384,6 +384,20 @@ class TestPreparedSetup:
         assert not np.array_equal(after.states, before.states)
         # one set-up is kept: the last content's
         assert plant._setup[0] == t.digest() != fresh.digest() == s.digest()
+
+    def test_moved_target_is_the_fresh_load(self, monkeypatch):
+        # a target moved by `replace` moves the terminal box with it: the copy
+        # is the content that a file with the new target loads
+        s = load("formation3")
+        target = with_entry(s.agents[0].target, 0, s.agents[0].target[0] + 0.3)
+        moved = with_agent(s, 0, target=target)
+        fresh = Scenario.from_dict(formation3_doc(target=target.tolist()))
+        monkeypatch.setattr(plant, "_setup", EMPTY)
+        want = simulate_closed_loop(fresh, ell=5, steps=60)
+        g = prepared(fresh)[2]
+        assert moved.digest() == fresh.digest()
+        assert prepared(moved)[2] is g
+        assert simulate_closed_loop(moved, ell=5, steps=60).to_csv() == want.to_csv()
 
     def test_condenses_once_per_scenario_content(self, monkeypatch):
         calls = []
