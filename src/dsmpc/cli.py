@@ -20,14 +20,11 @@ import numpy as np
 
 from .analysis import suboptimality_curve, violation_profile
 from .condense import dump_matrices, eval_condensed_cost, rollout_cost
-from .coordinator import default_step, lipschitz_constant
-from .errors import (DimensionError, DomainError, Infeasible, MaxIters,
-                     NoConvergence, NotEquilibrium, ParseError, UnknownKind)
+from .errors import Infeasible, MaxIters, NoConvergence
 from .model import load_scenario, validate_assumptions
 from .plant import make_disturbance, prepared, simulate_closed_loop
 
-SCENARIO_ERRORS = (ParseError, DimensionError, NotEquilibrium, UnknownKind,
-                   DomainError, ValueError, OSError)
+SCENARIO_ERRORS = (ValueError, OSError)  # every scenario error is a ValueError
 # LinAlgError subclasses ValueError, so SOLVER_ERRORS is matched first.
 SOLVER_ERRORS = (Infeasible, MaxIters, NoConvergence, np.linalg.LinAlgError)
 
@@ -145,15 +142,13 @@ def cmd_solve(args):
     eps = s.epsilon if args.eps is None else args.eps
     ell = s.iterations
     _, shifted, g = prepared(s)
-    alpha = args.alpha if args.alpha is not None else \
-        default_step(lipschitz_constant(g, eps))
     rep = suboptimality_curve(g, shifted.x0_stacked(), None, ell, eps,
-                              alpha=alpha)
+                              alpha=args.alpha)
     rep.provenance["scenario_digest"] = digest
     jpath, cpath = rep.save(args.out, tag=f"l{ell}_e{eps:g}")
     gap = rep.series["gap"][-1]
     print(f"dual gap after {ell} rounds: {gap:.6e} "
-          f"(alpha={alpha:.6g}, eps={eps:g})")
+          f"(alpha={rep.params['alpha']:.6g}, eps={eps:g})")
     print(f"wrote {jpath} and {cpath}")
     return 0
 

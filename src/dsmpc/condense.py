@@ -20,7 +20,7 @@ from .errors import DimensionError
 from .qpcore import DenseQP
 
 
-@dataclass
+@dataclass(eq=False)
 class CondensedAgent:
     """Horizon-condensed data for one agent.
 
@@ -46,7 +46,7 @@ class CondensedAgent:
     F: np.ndarray
     Ahat: np.ndarray
     Bhat: np.ndarray
-    qp: DenseQP = field(init=False, repr=False, compare=False)
+    qp: DenseQP = field(init=False, repr=False)
 
     def __post_init__(self):
         self.qp = DenseQP(self.H, self.C)
@@ -142,13 +142,13 @@ def condense_agent(agent, N, index=0):
 # (len, nu) positions in the stacked inputs, (len, k) in the stacked local
 # rows and (len, n) in the stacked states; stacked KKT matrices
 # [H_i C_i'; C_i 0], cost metrics M_i = [H_i G_i; G_i' W_i], G_i, D_i, c_i;
-# and the laws of the rounds, padded to (nu+k) x (nu+k), with the (len, k)
-# masks of their sets.
+# and the laws of the rounds (DenseQP.law, padded to (nu+k) x (nu+k)), with
+# the (len, k) masks of their sets.
 ShapeGroup = namedtuple("ShapeGroup",
                         "idx u_rows r_rows x_rows K M G D c laws law_mask")
 
 
-@dataclass
+@dataclass(eq=False)
 class GlobalQP:
     """The condensed coupled problem: the condensed agents, in agent order,
     and the stacked coupling bound `b` of the rows sum_i E_i u_i + F_i x_i
@@ -159,20 +159,17 @@ class GlobalQP:
     the coordinator's rounds keep up to date; and `coupling_norms`, per agent
     ||E_i H_i^{-1} E_i'||, the top eigenvalue of the nu x nu Gram matrix
     W W' = L^{-1} E_i' E_i L^{-T} on the agent's Cholesky factor (W' W has
-    the same nonzero eigenvalues), one batched eigvalsh per group.
-    `oracle_ws` maps each eps to the oracle's stacked DenseQP of the coupled
-    problem, built on first use.
+    the same nonzero eigenvalues), one batched eigvalsh per group.  It
+    and its agents compare and hash by identity, so they can key a cache.
     """
 
     agents: list
     b: np.ndarray
-    coupling_norms: list = field(init=False, repr=False, compare=False)
-    E_all: np.ndarray = field(init=False, repr=False, compare=False)
-    F_all: np.ndarray = field(init=False, repr=False, compare=False)
-    groups: list = field(init=False, repr=False, compare=False)
-    first_rows: np.ndarray = field(init=False, repr=False, compare=False)
-    oracle_ws: dict = field(default_factory=dict, init=False, repr=False,
-                            compare=False)
+    coupling_norms: list = field(init=False, repr=False)
+    E_all: np.ndarray = field(init=False, repr=False)
+    F_all: np.ndarray = field(init=False, repr=False)
+    groups: list = field(init=False, repr=False)
+    first_rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.E_all = np.hstack([ca.E for ca in self.agents])
@@ -199,7 +196,7 @@ class GlobalQP:
                 H, C.transpose(0, 2, 1), C
             M[:, :nu, :nu], M[:, :nu, nu:] = H, G
             M[:, nu:, :nu], M[:, nu:, nu:] = G.transpose(0, 2, 1), stack("W")
-            laws[:, :nu, :nu] -= stack("qp.Pinv")
+            laws[:, :nu, :nu] -= stack("qp.Pinv")  # = DenseQP.law([]), cheaper
             self.groups.append(ShapeGroup(
                 idx, u_off[idx][:, None] + np.arange(nu),
                 r_off[idx][:, None] + np.arange(k),

@@ -72,12 +72,8 @@ def batched_solves(g, terms, lam, warm=None):
         mask = np.zeros_like(grp.law_mask) if warm is None else warm[grp.r_rows]
         if mask.tobytes() != grp.law_mask.tobytes():
             for j in np.flatnonzero((mask != grp.law_mask).any(1)):
-                qp = g.agents[grp.idx[j]].qp
-                rows, law = qp._law(np.flatnonzero(mask[j]).tolist())
-                at = np.concatenate([np.arange(qp.n), qp.n + np.asarray(rows, int)])
-                grp.laws[j] = 0.0
-                grp.laws[j][np.ix_(at, at)] = law
-                grp.law_mask[j] = mask[j]
+                grp.laws[j] = g.agents[grp.idx[j]].qp.law(np.flatnonzero(mask[j]))
+            grp.law_mask[:] = mask
         z, nus, rg, ok = law_test(grp.K, grp.laws, qs, rs)
         for j in ([] if ok.all() else np.flatnonzero(~ok)):
             i = grp.idx[j]

@@ -7,7 +7,7 @@ which validates again.  A value's constructor alone converts and checks its
 fields, each array into a read-only copy of its own; the file parsers only
 map the JSON onto constructor arguments and name where a value came from.
 What a value works out from its fields (`Scenario.stage`, an agent's
-`terminal_cost` and `terminal_set`) is derived again by every `replace`.
+`terminal_cost`, `terminal_set`, `pinned`) is derived again by every `replace`.
 Values compare and hash by identity; equal content has equal `digest()`.
 """
 
@@ -160,7 +160,8 @@ class AgentModel:
     rows are), x0 and the disturbance bound 0.  P and terminal_poly stay as
     given; the controller uses `terminal_cost` (P, else the Riccati solution,
     0 under a terminal equality) and `terminal_set` (terminal_poly, else a
-    terminal equality's box at the target, else the whole space)."""
+    terminal equality's box at the target, else the whole space).  `pinned`:
+    an equality is in effect, with that box as its terminal set."""
 
     A: np.ndarray
     B: np.ndarray
@@ -177,6 +178,7 @@ class AgentModel:
     name: str = ""
     terminal_cost: np.ndarray = field(init=False, repr=False)
     terminal_set: Polytope = field(init=False, repr=False)
+    pinned: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         what = f"agent {self.name}"
@@ -197,18 +199,22 @@ class AgentModel:
         target = None if self.target is None else \
             _vector(self.target, f"{what}: target", n)
         _set(self, A=A, B=B, Q=Q, R=R, P=P, disturbance_bound=bound, x0=x0,
-             target=target, terminal_cost=_frozen(  # pinned: no terminal cost
+             target=target, terminal_cost=_frozen(  # an equality: no terminal cost
                  P if P is not None else np.zeros((n, n)) if self.terminal_equality
                  else solve_dare(A, B, Q, R)[0]))
+        pin = Polytope.box(*2 * [np.zeros(n) if target is None else target]) \
+            if self.terminal_equality else None
         for key, dim in (("input_poly", m), ("state_poly", n), ("terminal_poly", n)):
             poly = getattr(self, key)
-            if poly is None and key == "terminal_poly" and self.terminal_equality:
-                poly = Polytope.box(*2 * [np.zeros(n) if target is None else target])
-            elif poly is None or (poly.dim != dim and not poly.rows):
+            if poly is None and key == "terminal_poly":
+                poly = pin
+            if poly is None or (poly.dim != dim and not poly.rows):
                 poly = Polytope.unconstrained(dim)
             elif poly.dim != dim:
                 raise DimensionError(f"{what}: {key} has dimension {poly.dim} != {dim}")
             _set(self, **{"terminal_set" if key == "terminal_poly" else key: poly})
+        _set(self, pinned=pin is not None
+             and self.terminal_set.to_dict() == pin.to_dict())
 
     @property
     def n(self):
@@ -241,7 +247,7 @@ class AgentModel:
             target=d.get("target"), name=name)
 
     def to_dict(self):
-        term = {"mode": "equality" if self.terminal_equality else
+        term = {"mode": "equality" if self.pinned else
                 "polytope" if self.terminal_set.rows else "none"}
         if term["mode"] == "polytope":
             term.update(self.terminal_set.to_dict())
@@ -427,7 +433,7 @@ class Scenario:
     def _digest(self):
         doc = self.to_dict()  # + terminal equality rows: the set-up reads them
         for a, agent in zip(self.agents, doc["agents"]):
-            if a.terminal_equality:
+            if a.pinned:
                 agent["terminal"].update(a.terminal_set.to_dict())
         blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
@@ -561,7 +567,7 @@ def validate_assumptions(scenario):
         report.checks.append(AssumptionCheck(
             idx, "weights_pd", bool(pd), f"min eig Q={q_min:.3e}, R={r_min:.3e}"))
 
-        if a.terminal_equality:
+        if a.pinned:
             report.checks.append(AssumptionCheck(
                 idx, "terminal_decrease", True,
                 "terminal equality constraint; P = 0 is valid"))

@@ -4,14 +4,16 @@ relaxation columns), solved directly and certified by one KKT residual of the
 coupled problem computed on the original blocks, independently of the solve
 path.  A solve may start from an earlier solve's active set (its rows, local
 then coupling, are the same for every eps and state of one problem); the
-callers here chain their own solves, never the coordinator's, and nothing is
-kept between calls; nothing goes through the scheme it checks.  Supplies the
-exact primal/dual solutions, both feedback laws (first primal input blocks),
-the square-root value function used in the stability experiments, and the
-optimal closed loop: the oracle's law alone, in the plant's step loop.
+callers here chain their own solves, never the coordinator's.  Only the
+factors outlive a call, in this module's own bounded cache; nothing goes
+through the scheme it checks.  Supplies the exact primal/dual solutions,
+both feedback laws (first primal input blocks), the square-root value
+function used in the stability experiments, and the optimal closed loop:
+the oracle's law alone, in the plant's step loop.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -39,21 +41,19 @@ class OracleSolution:
     iters: int               # cold Goldfarb-Idnani rounds, 0 if warm polished
 
 
+@lru_cache(maxsize=8)  # more than the seven eps any caller chains on one g
 def _stacked_qp(g, eps):
     """The coupled problem at eps as one DenseQP over (u, s), factorized on
-    first use and kept in `g.oracle_ws`: P = blkdiag(H_i, I_p) and
+    first use and kept for the last 8 (g, eps) used: P = blkdiag(H_i, I_p) and
     A = [blkdiag(C_i), 0; E_all, -sqrt(eps) I_p].  The relaxation s, scaled
     by sqrt(eps) to keep the KKT system well conditioned down to very small
     regularization, has one column per nonzero column of -sqrt(eps) I, so
     p = 0 at eps = 0."""
-    if eps not in g.oracle_ws:
-        R = -np.sqrt(eps) * np.eye(g.n_dual)
-        R = R[:, R.any(0)]
-        C = block_diag(*[ca.C for ca in g.agents])
-        g.oracle_ws[eps] = DenseQP(
-            block_diag(*[ca.H for ca in g.agents], np.eye(R.shape[1])),
-            np.block([[C, np.zeros((C.shape[0], R.shape[1]))], [g.E_all, R]]))
-    return g.oracle_ws[eps]
+    R = -np.sqrt(eps) * np.eye(g.n_dual)
+    R = R[:, R.any(0)]
+    C = block_diag(*[ca.C for ca in g.agents])
+    return DenseQP(block_diag(*[ca.H for ca in g.agents], np.eye(R.shape[1])),
+                   np.block([[C, np.zeros((C.shape[0], R.shape[1]))], [g.E_all, R]]))
 
 
 def solve_centralized(g, x, eps, warm=None):
@@ -116,7 +116,5 @@ def simulate_optimal_closed_loop(scenario, steps=None, eps=0.0, dist=None):
         warm = sol.active
         return g.first_inputs(sol.u), sol.lam
 
-    trace = _closed_loop(scenario, law, steps, dist, ell=None,
-                         epsilon=float(eps), alpha=None)
-    g.oracle_ws.pop(eps, None)  # one per eps would pile up in the kept set-up
-    return trace
+    return _closed_loop(scenario, law, steps, dist, ell=None,
+                        epsilon=float(eps), alpha=None)

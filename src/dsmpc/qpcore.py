@@ -4,8 +4,8 @@
 
 P = L L' and V = L^-1 A' are computed once.  On a fixed active set a the
 solution is affine in the data, (z, nu_a) = M_a (q, r_a), the law of
-explicit MPC; `DenseQP._law` builds M_a from the set alone and `law_test`
-applies the padded laws of a stack of one shape (the coordinator's round).
+explicit MPC; `DenseQP.law` builds M_a from the set alone, padded to all
+rows, and `law_test` applies a stack of them (the coordinator's round).
 `DenseQP.solve` is the one certified solve of a single QP: the active-set
 polish from the warm set, then the Goldfarb-Idnani dual active-set method
 (Math. Prog. 27, 1983) from the empty set, both on the cached factor.  Every
@@ -109,17 +109,19 @@ class DenseQP:
         res, ok = kkt_verdict(self.P @ z + q + self.A.T @ nu, slack, nu)
         return (z, nu, float(res), iters) if ok else None
 
-    def _law(self, active):
-        """(rows, M) for the active set `active`, a list of rows: rows are
-        its independent rows, and (z, w) = M (q, r_rows) with
-        w = -S^-1 (r_a + V_a' L^-1 q) and z = -P^-1 q - L^-T V_a w.
+    def law(self, active):
+        """The law M of the active set `active` (rows), padded to (n+k) x
+        (n+k): (z, nu) = M (q, r), nu zero off the set's independent rows a,
+        where nu_a = w = -S^-1 (r_a + V_a' L^-1 q), and z = -P^-1 q - L^-T V_a w.
         Built from the set alone, so a kept law equals a rebuilt one."""
         rows, Va, U = self._independent(active)
         Y = dtrtrs(self.chol, Va, lower=1, trans=1)[0]  # L^-T V_a
         W = -_cho_solve(U, np.hstack([Y.T, np.eye(len(rows))]))
-        Z = -Y @ W
-        Z[:, :self.n] -= self.Pinv
-        return rows, np.vstack([Z, W])
+        at = np.concatenate([np.arange(self.n), self.n + np.asarray(rows, int)])
+        M = np.zeros((self.n + self.k, self.n + self.k))
+        M[np.ix_(at, at)] = np.vstack([-Y @ W, W])
+        M[:self.n, :self.n] -= self.Pinv
+        return M
 
     def _polish(self, q, r, active, rounds):
         """Active-set solve on the factor from the rows `active`, refactored

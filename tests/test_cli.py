@@ -203,11 +203,11 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_bad_step_size_scenario_error(self, tmp_path, formation3_path):
-        for alpha in ("-1", "0", "nan", "inf"):
-            code = run(["simulate", "--scenario", formation3_path,
-                        "--alpha", alpha, "--steps", "5",
-                        "--out", str(tmp_path)])
-            assert code == 3, alpha
+        for cmd, budget in (("simulate", "--steps"), ("solve", "--iters")):
+            for alpha in ("-1", "0", "nan", "inf"):
+                code = run([cmd, "--scenario", formation3_path, "--alpha",
+                            alpha, budget, "5", "--out", str(tmp_path)])
+                assert code == 3, (cmd, alpha)
 
     def test_bad_epsilon_flag_scenario_error(self, tmp_path, formation3_path,
                                             capsys):
@@ -354,6 +354,12 @@ class TestSolve:
         assert any(f.endswith(".json") for f in files)
         assert any(f.endswith(".csv") for f in files)
         assert "dual gap" in capsys.readouterr().out
+
+    def test_prints_the_default_step(self, formation3_path, tmp_path, capsys):
+        # the step the curve used, 0.99 / L when --alpha is not given
+        assert run(["solve", "--scenario", formation3_path, "--iters", "5",
+                    "--out", str(tmp_path)]) == 0
+        assert "(alpha=0.0769464, eps=1e-08)" in capsys.readouterr().out
 
     def test_report_digest_is_the_loaded_scenario(self, formation3_path,
                                                   tmp_path):

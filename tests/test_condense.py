@@ -254,3 +254,20 @@ class TestPairScenario:
         s = make_pair_scenario()
         g = condense_scenario(s)
         assert g.p_stage == 1 and g.n_dual == s.horizon
+
+
+class TestIdentity:
+    # the condensed values compare and hash by identity, as the model values
+    # do, so they can key a cache; their array fields are never compared
+    def test_equality_is_identity(self):
+        s = make_pair_scenario()
+        g, h = condense_scenario(s), condense_scenario(s)
+        ca, cb = g.agents[0], h.agents[0]
+        assert (g == h) is False and g == g and g != h
+        assert (ca == cb) is False and ca == ca and ca != cb
+
+    def test_both_types_hash(self):
+        g = condense_scenario(make_pair_scenario())
+        values = (g, *g.agents)
+        assert len({hash(v) for v in values}) == 3
+        assert {v: k for k, v in enumerate(values)}[g.agents[1]] == 2

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from dsmpc import plant
-from dsmpc.condense import GlobalQP, condense_agent
+from dsmpc.condense import GlobalQP, condense_agent, condense_scenario
 from dsmpc.coordinator import batched_solves, recovered_law
 from dsmpc.errors import Infeasible, MaxIters
 from dsmpc.model import (AgentModel, CouplingRow, CouplingSpec, Polytope,
-                         Scenario)
+                         Scenario, shift_to_target)
 from dsmpc.qpcore import TOL, DenseQP, QPResult, kkt_verdict, law_test
 
 from conftest import make_axis_agent
@@ -489,6 +489,38 @@ class TestBatchedInnerSolves:
         again = batched_solves(fresh, fresh.state_terms(x), lam, warm)
         assert np.array_equal(again.u, first.u)
         assert np.array_equal(again.nu, first.nu)
+
+    @pytest.mark.parametrize("which", ["formation3", "mixed"])
+    def test_law_is_the_padded_solution_map(self, which, formation3):
+        # DenseQP.law at a certified solve's active set maps (q, r) to the
+        # solve's (z, nu); it is zero in the rows and columns of every row
+        # outside the set's independent rows (mirrored rows added to the set
+        # included), and law([]) is the initial law a fresh group holds
+        g = condense_scenario(shift_to_target(formation3)) \
+            if which == "formation3" else mixed_global(self.MODELS, 2, seed=2)
+        for grp in g.groups:
+            for j, i in enumerate(grp.idx):
+                qp = g.agents[i].qp
+                assert qp.law([]).tobytes() == grp.laws[j].tobytes()
+        rng = np.random.default_rng(4)
+        active_sets = 0
+        for _ in range(10):
+            x = rng.normal(scale=0.3, size=g.n_total)
+            lam = np.abs(rng.normal(scale=2.0, size=g.n_dual))
+            for ca, xi in zip(g.agents, g.split_states(x)):
+                q, r = ca.G @ xi + ca.E.T @ lam, ca.c - ca.D @ xi
+                sol = ca.qp.solve(q, r)
+                zn = ca.qp.law(list(sol.active)) @ np.concatenate([q, r])
+                assert np.max(np.abs(zn - np.concatenate([sol.z, sol.nu]))) <= 1e-12
+                active_sets += bool(sol.active)
+                mirrored = [k for k, c in enumerate(ca.C) for a in sol.active
+                            if k == a or np.allclose(c, -ca.C[a])]
+                for rows in (list(sol.active), mirrored):
+                    kept = ca.qp._independent(rows)[0]
+                    off = ca.qp.n + np.setdiff1d(np.arange(ca.qp.k), kept)
+                    M = ca.qp.law(rows)
+                    assert not M[off].any() and not M[:, off].any()
+        assert active_sets > 0
 
     def test_law_test_checks_stationarity(self):
         # a feasible point that is not the minimizer is refused, for one QP

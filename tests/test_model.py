@@ -309,6 +309,49 @@ class TestReplaceDerivesAgain:
             assert t.terminal_poly is box and t.terminal_set is box
 
 
+class TestTerminalEqualityBySet:
+    """A terminal equality is in effect only with the box at the target as
+    terminal set, the set the flag derives when none is given; `to_dict`,
+    the digest and `validate_assumptions` all read that one test."""
+
+    def test_equality_without_rows_is_no_equality(self, formation3, tmp_path):
+        s = replace(formation3, agents=[
+            replace(a, terminal_poly=Polytope.unconstrained(4))
+            for a in formation3.agents])
+        report = validate_assumptions(s)
+        assert not report.passed
+        for i in range(3):
+            assert report.by_item(i, "terminal_decrease").detail == \
+                "max eig of decrease residual = 2.726e+00"
+        save_scenario(s, tmp_path / "s.json")
+        again = load_scenario(tmp_path / "s.json")
+        assert again.digest() == s.digest() != formation3.digest()
+        assert all(a.terminal_equality and not a.pinned for a in s.agents)
+        assert not any(a.pinned or a.terminal_set.rows for a in again.agents)
+
+    def test_equality_with_a_given_box_keeps_the_box(self, formation3, tmp_path):
+        a = formation3.agents[0]
+        box = Polytope.box(a.target - 0.5, a.target + 0.5)
+        given = replace(a, P=2.0 * np.eye(4), terminal_poly=box)
+        s = replace(formation3, agents=[given, *formation3.agents[1:]])
+        assert given.to_dict()["terminal"]["mode"] == "polytope"
+        save_scenario(s, tmp_path / "s.json")
+        again = load_scenario(tmp_path / "s.json")
+        assert again.digest() == s.digest()
+        assert again.digest().startswith("0abbea815c8b")
+        for key in "Cc":
+            assert np.array_equal(getattr(again.agents[0].terminal_set, key),
+                                  getattr(box, key))
+        assert given.terminal_equality and not given.pinned
+        assert s.agents[1].pinned
+
+    def test_given_box_at_the_target_is_the_equality(self, formation3):
+        a = formation3.agents[0]
+        given = replace(a, terminal_poly=Polytope.box(a.target, a.target))
+        s = replace(formation3, agents=[given, *formation3.agents[1:]])
+        assert given.pinned and s.digest() == formation3.digest()
+
+
 class TestTerminalPolytope:
     """The "polytope" terminal mode: a box around agent 0's target."""
 

@@ -7,7 +7,7 @@ from dsmpc.condense import condense_scenario
 from dsmpc.coordinator import dual_cost, recovered_law
 from dsmpc.errors import Infeasible
 from dsmpc.model import shift_to_target
-from dsmpc.oracle import (feedback_laws, simulate_optimal_closed_loop,
+from dsmpc.oracle import (_stacked_qp, feedback_laws, simulate_optimal_closed_loop,
                           solve_centralized, value_function)
 from dsmpc.plant import make_disturbance, plant_step
 
@@ -127,12 +127,28 @@ class TestOneCertificate:
             res = coupled_kkt_residual(g, x, sol.u, sol.nu, sol.lam, eps)
             assert res <= 1e-9
             assert abs(res - sol.kkt_residual) <= 1e-12
-            qp = g.oracle_ws[eps]
+            qp = _stacked_qp(g, eps)
             again = solve_centralized(g, x, eps)
-            assert g.oracle_ws[eps] is qp
+            assert _stacked_qp(g, eps) is qp
             for a, b in ((sol.u, again.u), (sol.lam, again.lam),
                          (sol.nu, again.nu)):
                 assert np.array_equal(a, b)
+
+
+class TestFactorCache:
+    # the oracle keeps its factors itself, for the last 8 (g, eps) it used
+    def test_bounded_and_a_rebuilt_factor_solves_alike(self, formation3_global):
+        shifted, g = formation3_global
+        x = shifted.x0_stacked()
+        first, qp = solve_centralized(g, x, 0.05), _stacked_qp(g, 0.05)
+        for eps in np.geomspace(1e-9, 1e-1, 9):  # nine others evict it
+            solve_centralized(g, x, eps)
+            assert _stacked_qp.cache_info().currsize <= 8
+        assert _stacked_qp(g, 0.05) is not qp
+        again = solve_centralized(g, x, 0.05)
+        for a, b in ((first.u, again.u), (first.lam, again.lam),
+                     (first.nu, again.nu)):
+            assert np.array_equal(a, b)
 
 
 class TestSchemeAtTheOraclePrice:

@@ -9,7 +9,7 @@ from dsmpc.condense import condense_scenario
 from dsmpc.coordinator import run_ada
 from dsmpc.errors import DimensionError, UnknownKind
 from dsmpc.model import CouplingSpec, Polytope, Scenario, shift_to_target
-from dsmpc.oracle import simulate_optimal_closed_loop
+from dsmpc.oracle import _stacked_qp, simulate_optimal_closed_loop
 from dsmpc.plant import (make_disturbance, plant_step, prepared,
                          simulate_closed_loop)
 from dsmpc.scenarios import load
@@ -340,12 +340,15 @@ class TestPreparedSetup:
                     dist=uniform(s, 5))
         optimal = cold(simulate_optimal_closed_loop, s, steps=5).states
         # runs that leave their laws and masks in the shared condensed
-        # problem before the same runs again; an optimal loop drops the
-        # oracle workspace it built there
+        # problem, and an optimal loop its eps factor in the oracle's cache,
+        # before the same runs again
         simulate_closed_loop(s, ell=40, steps=15, dist=uniform(s, 6))
         g = prepared(s)[2]
         simulate_optimal_closed_loop(s, steps=3, eps=1e-3)
-        assert not g.oracle_ws and any(grp.law_mask.any() for grp in g.groups)
+        hits = _stacked_qp.cache_info().hits
+        _stacked_qp(g, 1e-3)
+        assert _stacked_qp.cache_info().hits == hits + 1
+        assert any(grp.law_mask.any() for grp in g.groups)
         hot = simulate_closed_loop(s, ell=3, steps=15, dist=uniform(s, 5))
         assert fingerprint(hot) == fingerprint(loop)
         simulate_closed_loop(s, ell=1, steps=15, dist=uniform(s, 7))
