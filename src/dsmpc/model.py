@@ -267,20 +267,19 @@ class AgentModel:
 @dataclass(frozen=True, eq=False)
 class CouplingRow:
     """One scalar shared-resource row: sum_i Eu_i u_i + Ex_i x_i <= b.  The
-    blocks are read-only; the scenario checks them against its agents."""
+    blocks are read-only; the scenario checks them against its agents and
+    names the row by `name` (a file item's label) in its errors."""
 
     Eu: MappingProxyType
     Ex: MappingProxyType
     b: float
+    name: str = ""
 
     def __post_init__(self):
         def frozen(blocks):  # the scenario checks the entries
             return MappingProxyType({i: _frozen(np.asarray(v, float).flatten())
                                      for i, v in blocks.items()})
         _set(self, Eu=frozen(self.Eu), Ex=frozen(self.Ex), b=float(self.b))
-
-    def agents(self):
-        return sorted(set(self.Eu) | set(self.Ex))
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,25 +303,26 @@ class CouplingSpec:
         u_off = np.cumsum([0] + [a.m for a in agents]).tolist()
         x_off = np.cumsum([0] + [a.n for a in agents]).tolist()
         Eu, Ex = np.zeros((self.p, u_off[-1])), np.zeros((self.p, x_off[-1]))
+        names = [row.name or f"coupling row {k}" for k, row in enumerate(self.rows)]
         for k, row in enumerate(self.rows):
             if not (row.Eu or row.Ex):
-                raise ParseError(f"coupling row {k}: references no agents")
+                raise ParseError(f"{names[k]}: references no agents")
             for key, blocks, out, off in (("Eu", row.Eu, Eu, u_off),
                                           ("Ex", row.Ex, Ex, x_off)):
                 for i, v in blocks.items():
                     if not (isinstance(i, (int, np.integer)) and 0 <= i < len(agents)):
                         raise ParseError(
-                            f"coupling row {k}: agent index {i!r} out of range")
+                            f"{names[k]}: agent index {i!r} out of range")
                     lo, hi = off[i], off[i + 1]
                     if v.size != hi - lo:
                         raise DimensionError(
-                            f"coupling row {k}: {key} block for agent {i} has "
+                            f"{names[k]}: {key} block for agent {i} has "
                             f"length {v.size}, expected {hi - lo}")
                     out[k, lo:hi] = v
         b = np.array([row.b for row in self.rows], dtype=float)
         bad = ~np.isfinite(np.column_stack([Eu, Ex, b])).all(1)
         if bad.any():
-            raise ValueError(f"coupling row {bad.argmax()}: entry is not finite")
+            raise ValueError(f"{names[bad.argmax()]}: entry is not finite")
         return _frozen(Eu), _frozen(Ex), _frozen(b)
 
     @classmethod
@@ -365,14 +365,14 @@ class CouplingSpec:
                 out[i] = v
             try:
                 rows += [CouplingRow({i: v[r] for i, v in eu.items()},
-                                     {i: v[r] for i, v in ex.items()}, b[r])
+                                     {i: v[r] for i, v in ex.items()}, b[r], what)
                          for r in range(b.size)]
             except (TypeError, ValueError) as exc:  # an entry is not a number
                 raise ParseError(f"{what}: {exc}") from exc
         return cls(rows)
 
     def to_dict(self):
-        return [{"agents": row.agents(),
+        return [{"agents": sorted(set(row.Eu) | set(row.Ex)),
                  **{key: {str(i): [v.tolist()] for i, v in sorted(blocks.items())}
                     for key, blocks in (("Eu", row.Eu), ("Ex", row.Ex))},
                  "b": [row.b]} for row in self.rows]
@@ -619,7 +619,7 @@ def shift_to_target(scenario):
               for a, xbar, ubar in zip(scenario.agents, xbars, ubars)]
     xbar, ubar = np.concatenate(xbars), np.concatenate(ubars)
     Eu, Ex, _ = scenario.stage
-    rows = [CouplingRow(row.Eu, row.Ex, row.b - float(offset))
+    rows = [CouplingRow(row.Eu, row.Ex, row.b - float(offset), row.name)
             for row, offset in zip(scenario.coupling.rows, Ex @ xbar + Eu @ ubar)]
     return replace(scenario, agents=agents, coupling=CouplingSpec(rows),
                    shift=(xbar, ubar))

@@ -5,15 +5,15 @@ coupled problem computed on the original blocks, independently of the solve
 path.  A solve may start from an earlier solve's active set (its rows, local
 then coupling, are the same for every eps and state of one problem); the
 callers here chain their own solves, never the coordinator's.  Only the
-factors outlive a call, in this module's own bounded cache; nothing goes
-through the scheme it checks.  Supplies the exact primal/dual solutions,
-both feedback laws (first primal input blocks), the square-root value
-function used in the stability experiments, and the optimal closed loop:
-the oracle's law alone, in the plant's step loop.
+factors outlive a call, kept in this module per live problem and dropped
+with it; nothing goes through the scheme it checks.  Supplies the exact
+primal/dual solutions, both feedback laws (first primal input blocks), the
+square-root value function used in the stability experiments, and the
+optimal closed loop: the oracle's law alone, in the plant's step loop.
 """
 
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -25,6 +25,7 @@ from .plant import _closed_loop, prepared
 from .qpcore import DenseQP, kkt_verdict
 
 ORACLE_TOL = 1e-9
+_factors = weakref.WeakKeyDictionary()  # GlobalQP -> {eps: DenseQP}
 
 
 @dataclass
@@ -41,19 +42,21 @@ class OracleSolution:
     iters: int               # cold Goldfarb-Idnani rounds, 0 if warm polished
 
 
-@lru_cache(maxsize=8)  # more than the seven eps any caller chains on one g
 def _stacked_qp(g, eps):
     """The coupled problem at eps as one DenseQP over (u, s), factorized on
-    first use and kept for the last 8 (g, eps) used: P = blkdiag(H_i, I_p) and
+    first use and kept while g lives: P = blkdiag(H_i, I_p) and
     A = [blkdiag(C_i), 0; E_all, -sqrt(eps) I_p].  The relaxation s, scaled
     by sqrt(eps) to keep the KKT system well conditioned down to very small
     regularization, has one column per nonzero column of -sqrt(eps) I, so
     p = 0 at eps = 0."""
-    R = -np.sqrt(eps) * np.eye(g.n_dual)
-    R = R[:, R.any(0)]
-    C = block_diag(*[ca.C for ca in g.agents])
-    return DenseQP(block_diag(*[ca.H for ca in g.agents], np.eye(R.shape[1])),
-                   np.block([[C, np.zeros((C.shape[0], R.shape[1]))], [g.E_all, R]]))
+    kept = _factors.setdefault(g, {})
+    if eps not in kept:
+        R = -np.sqrt(eps) * np.eye(g.n_dual)
+        R = R[:, R.any(0)]
+        C = block_diag(*[ca.C for ca in g.agents])
+        A = np.block([[C, np.zeros((C.shape[0], R.shape[1]))], [g.E_all, R]])
+        kept[eps] = DenseQP(block_diag(*[ca.H for ca in g.agents], np.eye(R.shape[1])), A)
+    return kept[eps]
 
 
 def solve_centralized(g, x, eps, warm=None):
@@ -79,7 +82,7 @@ def solve_centralized(g, x, eps, warm=None):
     slack[k_loc:] += eps * lam
     kkt = kkt_verdict(qp.P[:n_u, :n_u] @ u + q + A_u.T @ res.nu, slack,
                       res.nu)[0]
-    if kkt > 10 * ORACLE_TOL:
+    if kkt > ORACLE_TOL:
         raise NoConvergence(f"oracle KKT residual {kkt:.3e} above tolerance")
     return OracleSolution(u=u, lam=lam, nu=nu, kkt_residual=float(kkt),
                           value=eval_condensed_cost(g, u, x), epsilon=float(eps),

@@ -8,7 +8,7 @@ from dsmpc import cli
 from dsmpc.cli import main
 from dsmpc.model import load_scenario
 
-from conftest import every_agent_doc, unstabilizable_doc
+from conftest import every_agent_doc, terminal_box_doc, unstabilizable_doc
 
 
 def run(argv):
@@ -113,9 +113,33 @@ class TestExitCodes:
                                                    "00": [[0, 1, 0, 0]]},
                                             "b": [1.0]}),
          "coupling row 0: Ex names agent 0 twice"),
+        # a block error names the file item, not the scalar row
+        (lambda d: d["coupling"][1]["abs_state_diff"].update(select=[[1, 0, 0]] * 2),
+         "coupling row 1: Ex block for agent 0 has length 3, expected 4"),
+        (lambda d: d["coupling"][2]["abs_state_diff"].update(agents=[0, 7]),
+         "coupling row 2: agent index 7 out of range"),
+        (lambda d: d["agents"][0].update(A=[[1, 1, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]]),
+         "agent agent1: A must be square"),
+        (lambda d: d["agents"][0].update(disturbance_bound=[-0.1] * 4),
+         "agent agent1: disturbance bound must be >= 0"),
+        (lambda d: d["agents"][0].pop("A"), "agent agent1: missing 'A'"),
+        (lambda d: d["agents"][0].update(terminal={"mode": "ball"}),
+         "agent agent1: unknown terminal mode 'ball'"),
+        (lambda d: d["coupling"][0]["abs_state_diff"].update(agents=[0]),
+         "coupling row 0: abs_state_diff needs a pair of agents"),
+        (lambda d: d["coupling"].insert(0, {"Ex": {"0": [[1, 0, 0, 0]]},
+                                            "b": [1.0, 1.0]}),
+         "coupling row 0: Ex[0]: expected 2 rows"),
+        (lambda d: d["coupling"].insert(0, {"Ex": {"0": [[1, "x", 0, 0]]},
+                                            "b": [1.0]}),
+         "coupling row 0: could not convert string to float: 'x'"),
+        (lambda d: d.pop("horizon"), "missing 'horizon'"),
     ], ids=["agents", "coupling", "terminal", "input_poly", "Eu", "select",
             "agent_names", "agent_lists", "type_spelling", "agent_twice",
-            "block_key_twice"])
+            "block_key_twice", "item_block_length", "item_agent_range",
+            "A_not_square", "negative_bound", "missing_A", "terminal_ball",
+            "one_agent_pair", "block_rows", "non_numeric_block",
+            "missing_horizon"])
     def test_malformed_structure_scenario_error(self, tmp_path, formation3_path,
                                                 capsys, edit, named):
         doc = json.loads(open(formation3_path).read())
@@ -125,6 +149,15 @@ class TestExitCodes:
         code = run(["check", "--scenario", str(bad)])
         err = capsys.readouterr().err
         assert code == 3 and "error: scenario:" in err and named in err, err
+
+    def test_check_warns_of_a_supplied_terminal_polytope(self, tmp_path, capsys):
+        path = tmp_path / "box.json"
+        path.write_text(json.dumps(terminal_box_doc()))
+        code = run(["check", "--scenario", str(path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert ("warning: agent 0: invariance of the supplied terminal polytope "
+                "is taken on faith") in out
 
     @pytest.mark.parametrize("box", [
         [[-1.0, float("nan")], [1.0, 1.0]], [[-1.0, -1.0], [float("inf"), 1.0]],

@@ -29,6 +29,10 @@ class TestCondenseAgent:
         assert ca.G[0, 0] == pytest.approx(1.0)
         assert ca.W[0, 0] == pytest.approx(2.0)
 
+    def test_horizon_zero_refused(self):
+        with pytest.raises(DimensionError, match="horizon"):
+            condense_agent(scalar_agent(), 0)
+
     def test_zero_input_map_decouples(self):
         ca = condense_agent(scalar_agent(B=0.0), 3)
         assert np.allclose(ca.H, np.eye(3))  # only the input weight survives

@@ -218,6 +218,10 @@ class TestMinIterations:
         assert min_iterations(1.0, 4.0) == 1
         assert min_iterations(1.0, 1.0) == 2
 
+    def test_step_or_eps_zero_refused(self):
+        with pytest.raises(ValueError, match="must be positive"):
+            min_iterations(0.0, 1.0)
+
     def test_consistent_with_contraction_factor(self):
         for alpha, eps in ((0.25, 1.0), (0.1, 0.5), (0.9, 2.0)):
             ell = min_iterations(alpha, eps)

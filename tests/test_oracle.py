@@ -1,11 +1,14 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
 
+from dsmpc import oracle
 from dsmpc.condense import condense_scenario
 from dsmpc.coordinator import dual_cost, recovered_law
-from dsmpc.errors import Infeasible
+from dsmpc.errors import Infeasible, NoConvergence
 from dsmpc.model import shift_to_target
 from dsmpc.oracle import (_stacked_qp, feedback_laws, simulate_optimal_closed_loop,
                           solve_centralized, value_function)
@@ -22,6 +25,15 @@ class TestSolveCentralized:
         s, g = formation3_global
         with pytest.raises(ValueError, match="eps"):
             solve_centralized(g, s.x0_stacked(), eps)
+
+    def test_residual_above_tolerance_refused(self, formation3_global,
+                                              monkeypatch):
+        # the recomputed residual is held to ORACLE_TOL itself, not to a
+        # multiple of it
+        s, g = formation3_global
+        monkeypatch.setattr(oracle, "kkt_verdict", lambda *_: (2e-9, True))
+        with pytest.raises(NoConvergence, match="2.000e-09"):
+            solve_centralized(g, s.x0_stacked(), s.epsilon)
 
     def test_origin_is_free(self, pair_global):
         s, g = pair_global
@@ -136,19 +148,39 @@ class TestOneCertificate:
 
 
 class TestFactorCache:
-    # the oracle keeps its factors itself, for the last 8 (g, eps) it used
-    def test_bounded_and_a_rebuilt_factor_solves_alike(self, formation3_global):
-        shifted, g = formation3_global
-        x = shifted.x0_stacked()
-        first, qp = solve_centralized(g, x, 0.05), _stacked_qp(g, 0.05)
-        for eps in np.geomspace(1e-9, 1e-1, 9):  # nine others evict it
+    # the oracle keeps the factor of each eps while its problem lives, and
+    # drops them with the problem
+    def test_a_live_problem_keeps_each_factor(self, formation3_global):
+        shifted = formation3_global[0]
+        g, x = condense_scenario(shifted), shifted.x0_stacked()
+        kept = {}
+        for eps in np.geomspace(1e-9, 1e-1, 10):
             solve_centralized(g, x, eps)
-            assert _stacked_qp.cache_info().currsize <= 8
-        assert _stacked_qp(g, 0.05) is not qp
-        again = solve_centralized(g, x, 0.05)
+            kept[eps] = _stacked_qp(g, eps)
+        assert all(_stacked_qp(g, eps) is qp for eps, qp in kept.items())
+
+    def test_each_problem_builds_its_own_factor(self, formation3_global):
+        shifted, g = formation3_global
+        other, x = condense_scenario(shifted), shifted.x0_stacked()
+        first, again = solve_centralized(g, x, 0.05), solve_centralized(other, x, 0.05)
+        assert _stacked_qp(other, 0.05) is not _stacked_qp(g, 0.05)
         for a, b in ((first.u, again.u), (first.lam, again.lam),
                      (first.nu, again.nu)):
             assert np.array_equal(a, b)
+
+    def test_factors_die_with_their_problem(self, formation3):
+        # the benchmark's f3_verify set-up, five times over: condense, solve
+        # at x0 at three eps, let go
+        refs = []
+        for _ in range(5):
+            shifted = shift_to_target(formation3)
+            g = condense_scenario(shifted)
+            for eps in (0.0, 1e-4, 1e-8):
+                solve_centralized(g, shifted.x0_stacked(), eps)
+            refs.append(weakref.ref(g))
+            del g
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 5
 
 
 class TestSchemeAtTheOraclePrice:

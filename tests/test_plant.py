@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dsmpc import plant
+from dsmpc import oracle, plant
 from dsmpc.analysis import iss_experiment
 from dsmpc.condense import condense_scenario
 from dsmpc.coordinator import run_ada
@@ -68,6 +68,12 @@ class TestPlantStep:
         with pytest.raises(DimensionError):
             plant_step(np.zeros(3), np.zeros(formation3.m_total),
                        np.zeros(formation3.n_total), formation3.agents)
+
+    def test_loop_checks_the_disturbance_dimension(self, formation3):
+        dist = make_disturbance("uniform", 0.01 * np.ones(3), seed=1)
+        with pytest.raises(DimensionError,
+                           match="disturbance dimension 3 != state dimension 12"):
+            simulate_closed_loop(formation3, ell=1, steps=2, dist=dist)
 
     def test_loop_stacks_once(self):
         # the kept set-up's agent tuple finds its stacks at every step
@@ -340,14 +346,18 @@ class TestPreparedSetup:
                     dist=uniform(s, 5))
         optimal = cold(simulate_optimal_closed_loop, s, steps=5).states
         # runs that leave their laws and masks in the shared condensed
-        # problem, and an optimal loop its eps factor in the oracle's cache,
+        # problem, and an optimal loop its eps factor in the oracle's store,
         # before the same runs again
         simulate_closed_loop(s, ell=40, steps=15, dist=uniform(s, 6))
-        g = prepared(s)[2]
+        g, used = prepared(s)[2], []
+
+        def recorded(*key):  # the factors the optimal loop solves with
+            used.append(_stacked_qp(*key))
+            return used[-1]
+
+        monkeypatch.setattr(oracle, "_stacked_qp", recorded)
         simulate_optimal_closed_loop(s, steps=3, eps=1e-3)
-        hits = _stacked_qp.cache_info().hits
-        _stacked_qp(g, 1e-3)
-        assert _stacked_qp.cache_info().hits == hits + 1
+        assert used and all(qp is _stacked_qp(g, 1e-3) for qp in used)
         assert any(grp.law_mask.any() for grp in g.groups)
         hot = simulate_closed_loop(s, ell=3, steps=15, dist=uniform(s, 5))
         assert fingerprint(hot) == fingerprint(loop)
